@@ -3,18 +3,16 @@
 Measures the costs the weaver pays at each stage, versus the number of
 potential join points:
 
-- ``load_class`` — planting minimal hooks at every join point (the
-  paper's JIT-time stub insertion);
+- ``load_class`` — building a hook table and its stub at every join
+  point (the paper's JIT-time stub insertion; the stubs stay off the
+  class until advised);
 - ``insert`` / ``withdraw`` — activating/deactivating an aspect, i.e.
-  matching its crosscut against all join points and recompiling dispatch
-  chains.
+  matching its crosscut against all join points, recompiling dispatch
+  chains, and binding (or removing) each matched join point's prebuilt
+  stub with one ``setattr``.
 
 Shape: all three scale roughly linearly with the join-point count, and
 none of them is paid per call afterwards (see E1/E2).
-
-This doubles as the DESIGN §6 ablation of stub-everywhere (pay at load)
-vs weave-on-demand (pay at insert): the two costs are reported separately
-so their trade-off is visible.
 """
 
 import pytest
@@ -80,23 +78,6 @@ def test_f1_insert_scaling_with_resident_aspects(benchmark, aspects):
     vm.load_class(cls)
     for _ in range(aspects):
         vm.insert(make_aspect())
-
-    def round_trip():
-        aspect = make_aspect()
-        vm.insert(aspect)
-        vm.withdraw(aspect)
-
-    benchmark(round_trip)
-
-
-@pytest.mark.benchmark(group="f1-insert-mode-ablation")
-@pytest.mark.parametrize("mode", ["resident", "swap"])
-def test_f1_insert_cost_by_mode(benchmark, mode):
-    """The stub-everywhere vs weave-on-demand trade-off at insert time:
-    swap mode pays setattr + stub construction per activation."""
-    vm = ProseVM(mode=mode)
-    cls = make_class(100)
-    vm.load_class(cls)
 
     def round_trip():
         aspect = make_aspect()

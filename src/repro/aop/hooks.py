@@ -1,22 +1,27 @@
 """Minimal hooks and advice dispatch.
 
 This module is the Python analogue of PROSE's JIT-level weaving (Fig. 1).
-When a class is loaded, every method is replaced by a *stub* produced by
-:func:`make_method_stub`.  A stub closes over a one-element ``cell``:
+When a class is loaded, every join point gets a hook table holding a
+*stub* prebuilt by :func:`make_method_stub`.  The stub stays off the
+class until the join point is first advised: an unadvised class keeps its
+pristine class dict and pays nothing per call.  A stub closes over a
+one-element ``cell``:
 
-- fast path — ``cell[0] is None`` — no advice anywhere at this join
-  point; the stub calls the original directly.  This is the "minimal
-  hook" whose constant cost experiment E1 measures.
+- fast path — ``cell[0] is None`` — no advice at this join point; the
+  stub calls the original directly.  Only callers that captured the stub
+  while it was installed still reach it once advice is withdrawn.
 - slow path — ``cell[0]`` holds a compiled dispatch closure built from
   the currently active advice; the stub delegates to it.  This is the
   interception path experiment E2 measures.
 
 Inserting or withdrawing an aspect edits the :class:`MethodHookTable` /
-:class:`FieldHookTable` advice lists and recompiles the cell, so the cost
-of (de)activation is paid at weave time, never per call.
+:class:`FieldHookTable` advice lists and recompiles the cell; when a
+table turns advised or unadvised it installs its prebuilt stub, or puts
+back the class's own attribute, with one ``setattr``.  The cost of
+(de)activation is paid at weave time, never per call.
 
 Field-write join points use a stubbed ``__setattr__``
-(:func:`make_setattr_stub`) with the same fast-path design.
+(:func:`make_setattr_stub`) with the same design.
 """
 
 from __future__ import annotations
@@ -67,6 +72,17 @@ def _sort_key(entry: tuple[int, int, Any]) -> tuple[int, int]:
     return (order, seq)
 
 
+def _toggle(cls: type, name: str, stub: Any, saved: Any, active: bool) -> None:
+    """Bind the prebuilt ``stub`` as ``cls.<name>`` while advised; otherwise
+    restore ``saved``, or drop the class-local entry if ``saved`` is None."""
+    if active:
+        setattr(cls, name, stub)
+    elif saved is not None:
+        setattr(cls, name, saved)
+    elif name in vars(cls):
+        delattr(cls, name)
+
+
 class MethodHookTable:
     """Per-method-join-point advice registry and dispatch compiler."""
 
@@ -75,9 +91,10 @@ class MethodHookTable:
         "original",
         "style",
         "owner",
+        "saved",
+        "stub",
         "cell",
         "interceptions",
-        "on_state_change",
         "_entries",
         "_seq",
         "_jp_label",
@@ -89,6 +106,7 @@ class MethodHookTable:
         original: Callable[..., Any],
         style: str = INSTANCE,
         owner: str = "prose",
+        saved: Any = None,
     ):
         self.joinpoint = joinpoint
         self.original = original
@@ -96,11 +114,18 @@ class MethodHookTable:
         #: Name of the VM (= node id on platform nodes) owning this hook;
         #: stamps dispatch-error events onto the right flight ring.
         self.owner = owner
-        #: Optional observer called with (table, active) when the hook
-        #: transitions between advised and unadvised (swap-mode weaving).
-        self.on_state_change: Callable[["MethodHookTable", bool], None] | None = None
+        #: The class's own attribute, put back when the last advice goes
+        #: (None: inherited, so the class-local stub is just removed).
+        self.saved = saved
         #: One-element list read by the stub: None, or the dispatch closure.
         self.cell: list[Callable[..., Any] | None] = [None]
+        stub = make_method_stub(self)
+        #: The prebuilt stub, bound into the class only while advised.
+        self.stub: Any = (
+            staticmethod(stub) if style == STATIC
+            else classmethod(stub) if style == CLASS
+            else stub
+        )
         #: Number of times the slow (interception) path ran.
         self.interceptions = 0
         # entries: kind -> list of (order, seq, Advice)
@@ -152,15 +177,22 @@ class MethodHookTable:
             self._recompile()
         return removed
 
-    def _recompile(self) -> None:
-        if self.advice_count() == 0:
-            was_active = self.cell[0] is not None
-            self.cell[0] = None
-            if was_active and self.on_state_change is not None:
-                self.on_state_change(self, False)
-            return
-        was_active = self.cell[0] is not None
+    def clear(self) -> None:
+        """Deactivate all advice, restoring the class's own attribute."""
+        for entries in self._entries.values():
+            entries.clear()
+        self._recompile()
 
+    def _recompile(self) -> None:
+        was_active = self.cell[0] is not None
+        self.cell[0] = self._compile() if self.advice_count() else None
+        active = self.cell[0] is not None
+        if active != was_active:
+            joinpoint = self.joinpoint
+            _toggle(joinpoint.cls, joinpoint.member, self.stub, self.saved, active)
+
+    def _compile(self) -> Callable[..., Any]:
+        """Build the dispatch closure over the currently active advice."""
         befores = tuple(
             entry[2].callback
             for entry in sorted(self._entries[AdviceKind.BEFORE], key=_sort_key)
@@ -247,15 +279,13 @@ class MethodHookTable:
                 )
                 recorder.count("prose.interceptions", 1, joinpoint=jp_label)
 
-        self.cell[0] = dispatch
-        if not was_active and self.on_state_change is not None:
-            self.on_state_change(self, True)
+        return dispatch
 
     def __repr__(self) -> str:
         return f"<MethodHookTable {self.joinpoint} advice={self.advice_count()}>"
 
 
-def _codegen_stub(table: MethodHookTable, style: str) -> Callable | None:
+def _codegen_stub(table: MethodHookTable) -> Callable | None:
     """Generate a stub with the original's exact signature.
 
     Avoiding ``*args`` packing on the fast path roughly halves the hook's
@@ -294,7 +324,7 @@ def _codegen_stub(table: MethodHookTable, style: str) -> Callable | None:
         else:  # keyword-only: not worth the complexity here
             return None
 
-    if style == INSTANCE or style == CLASS:
+    if table.style == INSTANCE or table.style == CLASS:
         if not tuple_items:
             return None  # no receiver parameter: malformed method
         target = tuple_items[0]
@@ -331,14 +361,13 @@ def _codegen_stub(table: MethodHookTable, style: str) -> Callable | None:
     return stub
 
 
-def make_method_stub(table: MethodHookTable, style: str | None = None) -> Callable:
-    """Build the minimal-hook wrapper installed in place of a method."""
+def make_method_stub(table: MethodHookTable) -> Callable:
+    """Build the minimal-hook wrapper bound in place of an advised method."""
     original = table.original
     cell = table.cell
-    if style is None:
-        style = table.style
+    style = table.style
 
-    generated = _codegen_stub(table, style)
+    generated = _codegen_stub(table)
     if generated is not None:
         functools.update_wrapper(generated, original)
         generated.__prose_table__ = table  # type: ignore[attr-defined]
@@ -387,16 +416,21 @@ class FieldHookTable:
     was installed on a base class.
     """
 
-    __slots__ = ("cls", "original_setattr", "cell", "interceptions",
-                 "on_state_change", "_entries", "_seq", "_chains")
+    __slots__ = ("cls", "original_setattr", "saved", "stub", "cell",
+                 "interceptions", "_entries", "_seq", "_chains")
 
-    def __init__(self, cls: type, original_setattr: Callable[..., None]):
+    def __init__(
+        self, cls: type, original_setattr: Callable[..., None], saved: Any = None
+    ):
         self.cls = cls
         self.original_setattr = original_setattr
+        #: The class's own ``__setattr__``, put back when the last advice
+        #: goes (None: inherited, so the class-local stub is just removed).
+        self.saved = saved
         self.cell: list[Callable[..., None] | None] = [None]
+        #: The prebuilt ``__setattr__`` stub, bound only while advised.
+        self.stub = make_setattr_stub(self)
         self.interceptions = 0
-        #: Optional observer called with (table, active) on transitions.
-        self.on_state_change: Callable[["FieldHookTable", bool], None] | None = None
         self._entries: list[tuple[int, int, Advice]] = []
         self._seq = 0
         # (type, field) -> compiled (befores, afters, joinpoint) or None
@@ -429,13 +463,18 @@ class FieldHookTable:
             self._recompile()
         return removed
 
+    def clear(self) -> None:
+        """Deactivate all advice, restoring the class's own ``__setattr__``."""
+        self._entries = []
+        self._recompile()
+
     def _recompile(self) -> None:
         self._chains.clear()
         was_active = self.cell[0] is not None
         self.cell[0] = self._dispatch if self._entries else None
-        is_active = self.cell[0] is not None
-        if was_active != is_active and self.on_state_change is not None:
-            self.on_state_change(self, is_active)
+        active = self.cell[0] is not None
+        if active != was_active:
+            _toggle(self.cls, "__setattr__", self.stub, self.saved, active)
 
     def _chain_for(self, cls: type, field: str) -> tuple | None:
         key = (cls, field)

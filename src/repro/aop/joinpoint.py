@@ -1,7 +1,7 @@
 """Join points — the static shadows where advice can attach.
 
 A *join point* is a well-defined point in the execution of a program.  As
-in PROSE, the weaver plants a hook at every potential join point when a
+in PROSE, the weaver prepares a hook at every potential join point when a
 class is loaded; a join point therefore has a static identity (class,
 member, kind) independent of whether any advice is currently active there.
 

@@ -1,15 +1,19 @@
 """The PROSE-enabled virtual machine.
 
 :class:`ProseVM` is the run-time weaver — the analogue of the paper's
-modified JVM.  Loading a class rewrites it in place:
+modified JVM.  Loading a class prepares it for weaving:
 
-- every method defined on the class is replaced by a minimal-hook stub
-  (:mod:`repro.aop.hooks`), creating one method join point per method;
-- ``__setattr__`` is replaced by a field-write stub, creating field-write
+- every method defined on the class gets a hook table with a prebuilt
+  minimal-hook stub (:mod:`repro.aop.hooks`), one method join point per
+  method;
+- ``__setattr__`` gets a field-write table and stub, creating field-write
   join points lazily per assigned field.
 
-Aspects are inserted and withdrawn at any time; insertion matches each
-advice's crosscut against every loaded join point and activates the
+The class dict itself is untouched until a join point is advised: a stub
+is bound into the class when its first advice arrives and the original
+is put back when the last one goes, so unadvised classes run at full
+speed.  Aspects are inserted and withdrawn at any time; insertion matches
+each advice's crosscut against every loaded join point and activates the
 matching hooks.  Classes loaded *after* an insertion are matched against
 all currently inserted aspects, so the order of arrival (application code
 vs. extensions) does not matter — exactly the property MIDAS relies on.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import inspect
 import logging
+import weakref
 from time import perf_counter
 from typing import Any, Callable, Iterator
 
@@ -34,8 +39,6 @@ from repro.aop.hooks import (
     AdviceContainment,
     FieldHookTable,
     MethodHookTable,
-    make_method_stub,
-    make_setattr_stub,
 )
 from repro.aop.joinpoint import JoinPoint, JoinPointKind
 from repro.aop.sandbox import AspectSandbox
@@ -66,22 +69,23 @@ def _is_weavable(name: str, value: object) -> tuple[bool, str]:
         return True, INSTANCE
     return False, INSTANCE
 
+#: Classes with hook tables, whichever VM built them.  Kept outside the
+#: class dict, which stays pristine while unadvised: a class loaded by one
+#: VM gives any other VM no join points, so two weavers never fight over
+#: one class attribute.
+_INSTRUMENTED: "weakref.WeakSet[type]" = weakref.WeakSet()
+
 
 class _LoadedClass:
-    """Bookkeeping for one instrumented class."""
+    """Bookkeeping for one loaded class (no tables if another VM owns it)."""
 
-    __slots__ = ("cls", "method_tables", "field_table", "saved_attrs",
-                 "saved_setattr", "had_own_setattr")
+    __slots__ = ("cls", "method_tables", "field_table")
 
     def __init__(self, cls: type):
         self.cls = cls
         # method name -> MethodHookTable
         self.method_tables: dict[str, MethodHookTable] = {}
         self.field_table: FieldHookTable | None = None
-        # original attribute objects, for unload
-        self.saved_attrs: dict[str, Any] = {}
-        self.saved_setattr: Callable[..., None] | None = None
-        self.had_own_setattr = False
 
 
 class _Insertion:
@@ -149,28 +153,11 @@ class VMStats:
         )
 
 
-#: Hooks stay installed at every join point from class load on; aspects
-#: toggle dispatch cells.  The PROSE JIT model (E1 measures its cost).
-RESIDENT = "resident"
-#: Hooks are installed only while at least one advice is active at the
-#: join point, and removed again afterwards.  Zero overhead when
-#: unadvised, higher weave/unweave latency.  The DESIGN §6 ablation.
-SWAP = "swap"
-
-
 class ProseVM:
-    """A run-time weaver over ordinary Python classes.
+    """A run-time weaver over ordinary Python classes."""
 
-    ``mode`` selects the weaving strategy: :data:`RESIDENT` (default,
-    the paper's stub-everywhere design) or :data:`SWAP` (install hooks
-    on demand — the weave-on-demand alternative the evaluation ablates).
-    """
-
-    def __init__(self, name: str = "prose", mode: str = RESIDENT):
-        if mode not in (RESIDENT, SWAP):
-            raise WeaveError(f"unknown weaving mode {mode!r}")
+    def __init__(self, name: str = "prose"):
         self.name = name
-        self.mode = mode
         self.stats = VMStats(vm=name)
         #: Optional :class:`~repro.telemetry.profiler.JoinPointProfiler`
         #: (duck-typed: anything with ``wrap(advice, callback)`` and
@@ -194,11 +181,13 @@ class ProseVM:
         return cls in self._loaded
 
     def load_class(self, cls: type, include_inherited: bool = False) -> type:
-        """Instrument ``cls`` in place, planting hooks at all join points.
+        """Instrument ``cls``, preparing hooks at all join points.
 
         With ``include_inherited=True``, public methods inherited from
-        uninstrumented bases are materialized as class-local stubs too, so
-        crosscuts naming ``cls`` can reach them.  Returns ``cls``.
+        uninstrumented bases get class-local join points too, so crosscuts
+        naming ``cls`` can reach them.  A class already instrumented by
+        another VM is recorded but gets no join points here.  Returns
+        ``cls``.
         """
         if cls in self._loaded:
             return cls
@@ -207,7 +196,18 @@ class ProseVM:
 
         record = _LoadedClass(cls)
         self._loaded[cls] = record
+        if cls not in _INSTRUMENTED:
+            _INSTRUMENTED.add(cls)
+            self._build_tables(record, include_inherited)
+        self.stats.note("classes_loaded")
 
+        # Late loading: weave already-inserted aspects through the new class.
+        for insertion in self._insertions.values():
+            self._register_on_class(insertion, record)
+        return cls
+
+    def _build_tables(self, record: _LoadedClass, include_inherited: bool) -> None:
+        cls = record.cls
         names = list(vars(cls))
         if include_inherited:
             own = set(names)
@@ -218,123 +218,45 @@ class ProseVM:
 
         for name in names:
             if name in vars(cls):
-                raw = vars(cls)[name]
-                inherited = False
+                raw = saved = vars(cls)[name]
             else:
-                raw = _find_inherited(cls, name)
-                if raw is None:
-                    continue
-                inherited = True
+                base = next((b for b in cls.__mro__ if name in vars(b)), None)
+                if base is None or base in _INSTRUMENTED:
+                    continue  # a loaded base's own join point covers it
+                raw, saved = vars(base)[name], None
             weavable, style = _is_weavable(name, raw)
             if not weavable:
                 continue
-            if hasattr(_unwrap(raw), "__prose_table__"):
-                continue  # already a stub (e.g. inherited from a loaded base)
-            original = _unwrap(raw)
-            table = MethodHookTable(
+            record.method_tables[name] = MethodHookTable(
                 JoinPoint(JoinPointKind.METHOD, cls, name),
-                original,
+                _unwrap(raw),
                 style,
                 owner=self.name,
+                saved=saved,
             )
-            if not inherited:
-                record.saved_attrs[name] = raw
-            record.method_tables[name] = table
-            if self.mode == RESIDENT:
-                self._install_method_stub(record, name, table)
-            else:
-                table.on_state_change = self._swap_method_hook(record, name)
             self.stats.note("methods_stubbed")
 
-        self._stub_setattr(record)
-        self.stats.note("classes_loaded")
-
-        # Late loading: weave already-inserted aspects through the new class.
-        for insertion in self._insertions.values():
-            self._register_on_class(insertion, record)
-        return cls
-
-    def _install_method_stub(
-        self, record: _LoadedClass, name: str, table: MethodHookTable
-    ) -> None:
-        stub = make_method_stub(table)
-        wrapped: Any = stub
-        if table.style == STATIC:
-            wrapped = staticmethod(stub)
-        elif table.style == CLASS:
-            wrapped = classmethod(stub)
-        setattr(record.cls, name, wrapped)
-
-    def _restore_method(self, record: _LoadedClass, name: str) -> None:
-        if name in record.saved_attrs:
-            setattr(record.cls, name, record.saved_attrs[name])
-        else:
-            # Materialized inherited stub: remove the class-local copy.
-            try:
-                delattr(record.cls, name)
-            except AttributeError:
-                pass
-
-    def _swap_method_hook(self, record: _LoadedClass, name: str):
-        def on_state_change(table: MethodHookTable, active: bool) -> None:
-            if active:
-                self._install_method_stub(record, name, table)
-            else:
-                self._restore_method(record, name)
-
-        return on_state_change
-
-    def _stub_setattr(self, record: _LoadedClass) -> None:
-        cls = record.cls
-        record.had_own_setattr = "__setattr__" in vars(cls)
         current = cls.__setattr__
         if hasattr(current, "__prose_field_table__"):
-            # Inherited from an already-loaded base: share that table's
-            # machinery by installing a class-local stub over the same
-            # *original* so writes are not intercepted twice.
+            # Inherited from an advised base: hook the same *original* so
+            # writes are not intercepted twice.
             current = current.__prose_field_table__.original_setattr  # type: ignore[attr-defined]
-        record.saved_setattr = vars(cls).get("__setattr__")
-        table = FieldHookTable(cls, current)
-        record.field_table = table
-        if self.mode == RESIDENT:
-            cls.__setattr__ = make_setattr_stub(table)  # type: ignore[assignment]
-        else:
-            table.on_state_change = self._swap_field_hook(record)
-
-    def _swap_field_hook(self, record: _LoadedClass):
-        def on_state_change(table: FieldHookTable, active: bool) -> None:
-            if active:
-                record.cls.__setattr__ = make_setattr_stub(table)  # type: ignore[assignment]
-            else:
-                self._restore_setattr(record)
-
-        return on_state_change
-
-    def _restore_setattr(self, record: _LoadedClass) -> None:
-        cls = record.cls
-        if record.had_own_setattr and record.saved_setattr is not None:
-            cls.__setattr__ = record.saved_setattr  # type: ignore[assignment]
-        else:
-            try:
-                delattr(cls, "__setattr__")
-            except AttributeError:
-                pass
+        record.field_table = FieldHookTable(
+            cls, current, saved=vars(cls).get("__setattr__")
+        )
 
     def unload_class(self, cls: type) -> None:
         """Restore ``cls`` to its original, uninstrumented definition."""
         record = self._loaded.pop(cls, None)
         if record is None:
             raise ClassNotLoadedError(f"{cls!r} is not loaded in this VM")
-        for name, table in record.method_tables.items():
-            table.on_state_change = None
-            self._restore_method(record, name)
+        if record.field_table is None:
+            return  # instrumented by another VM: nothing here to undo
+        _INSTRUMENTED.discard(cls)
+        for table in (*record.method_tables.values(), record.field_table):
+            table.clear()
             for insertion in self._insertions.values():
                 insertion.tables.discard(table)
-        self._restore_setattr(record)
-        if record.field_table is not None:
-            record.field_table.on_state_change = None
-            for insertion in self._insertions.values():
-                insertion.tables.discard(record.field_table)
 
     # -- join point queries ----------------------------------------------------
 
@@ -514,13 +436,6 @@ def _unwrap(raw: Any) -> Callable[..., Any]:
     if isinstance(raw, (staticmethod, classmethod)):
         return raw.__func__
     return raw
-
-
-def _find_inherited(cls: type, name: str) -> Any:
-    for base in cls.__mro__[1:]:
-        if name in vars(base):
-            return vars(base)[name]
-    return None
 
 
 def _all_subclasses(cls: type) -> Iterator[type]:

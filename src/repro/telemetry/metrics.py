@@ -15,7 +15,7 @@ pipeline (Prometheus, OpenTelemetry) relies on.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 #: Label sets are stored as a sorted tuple of items so instruments hash
 #: and compare regardless of keyword order at the call site.
@@ -105,6 +105,33 @@ class Gauge:
         return f"<Gauge {self.name}{format_labels(self.labels)} = {self.value}>"
 
 
+def bucket_quantile(
+    bounds: Sequence[float],
+    counts: Sequence[int],
+    total: int,
+    q: float,
+    overflow: float,
+) -> float:
+    """Bucket-resolution ``q``-quantile of a bucketed distribution.
+
+    ``counts`` has one slot per upper bound in ``bounds`` plus a final
+    overflow slot; ``total`` is their sum.  Returns the bound of the
+    bucket holding rank ``q * total`` (``overflow`` for the overflow
+    bucket), 0.0 if ``total`` is zero.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    if total <= 0:
+        return 0.0
+    rank = q * total
+    seen = 0
+    for index, bucket_count in enumerate(counts):
+        seen += bucket_count
+        if seen >= rank and bucket_count:
+            return bounds[index] if index < len(bounds) else overflow
+    return overflow
+
+
 class Histogram:
     """A fixed-bucket histogram of observed values.
 
@@ -156,19 +183,8 @@ class Histogram:
         Returns the upper bound of the bucket containing the target rank
         (the recorded max for the overflow bucket), 0.0 if empty.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for index, bucket_count in enumerate(self.counts):
-            seen += bucket_count
-            if seen >= rank and bucket_count:
-                if index < len(self.buckets):
-                    return self.buckets[index]
-                return self.max if self.max is not None else 0.0
-        return self.max if self.max is not None else 0.0
+        overflow = self.max if self.max is not None else 0.0
+        return bucket_quantile(self.buckets, self.counts, self.count, q, overflow)
 
     def to_record(self) -> dict[str, Any]:
         """The exportable (JSONL) form of this histogram."""

@@ -130,8 +130,10 @@ class TestFieldInterception:
     def test_unload_restores_setattr(self, vm):
         cls = fresh_class()
         vm.load_class(cls)
+        vm.insert(FieldTraceAspect(type_pattern="Engine", field_pattern="rpm"))
         assert hasattr(cls.__setattr__, "__prose_field_table__")
         vm.unload_class(cls)
+        assert "__setattr__" not in vars(cls)
         assert not hasattr(cls.__setattr__, "__prose_field_table__")
         engine = cls()
         engine.rpm = 7

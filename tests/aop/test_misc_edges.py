@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.aop import Aspect, MethodCut, ProseVM, SWAP, before
+from repro.aop import Aspect, MethodCut, ProseVM, before
 from repro.aop.signature import parse_signature
 
 from tests.support import TraceAspect, Turbine, fresh_class
@@ -23,7 +23,7 @@ class TestSignatureEdges:
 
 class TestSwapModeInheritance:
     def test_materialized_inherited_stub_removed_on_withdraw(self):
-        vm = ProseVM(mode=SWAP)
+        vm = ProseVM()
         cls = fresh_class(Turbine)
         vm.load_class(cls, include_inherited=True)
         # 'throttle' is inherited from Engine and materialized lazily.

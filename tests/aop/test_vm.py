@@ -3,10 +3,12 @@
 import pytest
 
 from repro.aop import Aspect, MethodCut, ProseVM, before
+from repro.aop.advice import AdviceKind
+from repro.aop.crosscut import FieldWriteCut
 from repro.aop.joinpoint import JoinPointKind
 from repro.errors import ClassNotLoadedError, NotWovenError, WeaveError
 
-from tests.support import Engine, TraceAspect, fresh_class
+from tests.support import Engine, FieldTraceAspect, TraceAspect, fresh_class
 
 
 @pytest.fixture
@@ -223,10 +225,150 @@ class TestInsertWithdraw:
         assert len(trace.trace) == 1
 
 
+class TestStubsOnlyWhileAdvised:
+    """Stubs are prebuilt at load time but bound into the class only while
+    their join point is advised; the class dict is pristine otherwise."""
+
+    def test_load_installs_nothing(self, vm):
+        cls = fresh_class()
+        before_load = dict(vars(cls))
+        vm.load_class(cls)
+        assert dict(vars(cls)) == before_load
+        assert not hasattr(cls.start, "__prose_table__")
+        assert "__setattr__" not in vars(cls)
+
+    def test_joinpoints_still_enumerable(self, vm):
+        cls = fresh_class()
+        vm.load_class(cls)
+        assert {jp.member for jp in vm.joinpoints()} >= {"start", "throttle"}
+
+    def test_insert_installs_only_matched_stubs(self, vm):
+        cls = fresh_class()
+        vm.load_class(cls)
+        vm.insert(TraceAspect(type_pattern="Engine", method_pattern="start"))
+        assert vars(cls)["start"] is vm.table_for(cls, "start").stub
+        assert not hasattr(cls.throttle, "__prose_table__")
+
+    def test_interception_works(self, vm):
+        cls = fresh_class()
+        vm.load_class(cls)
+        trace = TraceAspect(type_pattern="Engine", method_pattern="start")
+        vm.insert(trace)
+        cls().start()
+        assert trace.trace == [("start", ())]
+
+    def test_withdraw_restores_pristine_methods(self, vm):
+        cls = fresh_class()
+        original = vars(cls)["start"]
+        vm.load_class(cls)
+        trace = TraceAspect(type_pattern="Engine", method_pattern="start")
+        vm.insert(trace)
+        vm.withdraw(trace)
+        assert vars(cls)["start"] is original
+
+    def test_stub_reused_across_activations(self, vm):
+        cls = fresh_class()
+        vm.load_class(cls)
+        stub = vm.table_for(cls, "start").stub
+        for _ in range(2):
+            trace = TraceAspect(type_pattern="Engine", method_pattern="start")
+            vm.insert(trace)
+            assert vars(cls)["start"] is stub
+            vm.withdraw(trace)
+
+    def test_field_hook_swapped(self, vm):
+        cls = fresh_class()
+        vm.load_class(cls)
+
+        aspect = Aspect()
+        writes = []
+        aspect.add_advice(
+            AdviceKind.AFTER,
+            FieldWriteCut(type="Engine", field="rpm"),
+            lambda ctx: writes.append(ctx.new_value),
+        )
+        vm.insert(aspect)
+        assert "__setattr__" in vars(cls)
+        engine = cls()
+        engine.rpm = 5
+        assert 5 in writes
+        vm.withdraw(aspect)
+        assert "__setattr__" not in vars(cls)
+
+    def test_two_aspects_one_joinpoint(self, vm):
+        cls = fresh_class()
+        vm.load_class(cls)
+        first = TraceAspect(type_pattern="Engine", method_pattern="start")
+        second = TraceAspect(type_pattern="Engine", method_pattern="start")
+        vm.insert(first)
+        vm.insert(second)
+        vm.withdraw(first)
+        # Still advised by the second: stub stays.
+        assert hasattr(cls.start, "__prose_table__")
+        vm.withdraw(second)
+        assert not hasattr(cls.start, "__prose_table__")
+
+    def test_unload_while_advised(self, vm):
+        cls = fresh_class()
+        original = vars(cls)["start"]
+        vm.load_class(cls)
+        trace = TraceAspect(type_pattern="Engine")
+        vm.insert(trace)
+        vm.unload_class(cls)
+        cls().start()
+        assert vars(cls)["start"] is original
+        assert trace.trace == []
+
+    def test_captured_stub_falls_back_after_withdraw(self, vm):
+        cls = fresh_class()
+        vm.load_class(cls)
+        trace = TraceAspect(type_pattern="Engine", method_pattern="throttle")
+        vm.insert(trace)
+        engine = cls()
+        throttle = engine.throttle  # bound to the installed stub
+        vm.withdraw(trace)
+        assert throttle(5) == 5  # fast path: straight to the original
+        assert trace.trace == []
+
+
 class TestMultipleVMs:
     def test_second_vm_does_not_restub(self, vm):
         cls = fresh_class()
         vm.load_class(cls)
         other = ProseVM(name="other")
         other.load_class(cls)
+        assert other.is_loaded(cls)
         assert other.stats.methods_stubbed == 0
+        assert other.joinpoints() == []
+        # The owner's tables live outside the class, so nothing marks it.
+        assert not hasattr(cls.start, "__prose_table__")
+        other.unload_class(cls)
+        assert vm.table_for(cls, "start").joinpoint.member == "start"
+
+    def test_second_vm_cannot_clobber_advice(self, vm):
+        cls = fresh_class()
+        other = ProseVM(name="other")
+        vm.load_class(cls)
+        other.load_class(cls)
+        mine = TraceAspect(type_pattern="Engine", method_pattern="start")
+        my_writes = FieldTraceAspect(type_pattern="Engine", field_pattern="rpm")
+        theirs = TraceAspect(type_pattern="Engine", method_pattern="start")
+        their_writes = FieldTraceAspect(type_pattern="Engine", field_pattern="rpm")
+        vm.insert(mine)
+        vm.insert(my_writes)
+        other.insert(theirs)
+        other.insert(their_writes)
+        other.withdraw(theirs)
+        other.withdraw(their_writes)
+        cls().start()
+        assert mine.trace == [("start", ())]
+        assert ("rpm", 0, 800) in my_writes.writes
+        assert theirs.trace == [] and their_writes.writes == []
+
+    def test_class_free_again_after_owner_unloads(self, vm):
+        cls = fresh_class()
+        vm.load_class(cls)
+        vm.unload_class(cls)
+        other = ProseVM(name="other")
+        other.load_class(cls)
+        assert other.stats.methods_stubbed > 0

@@ -1,17 +1,24 @@
-"""Resident and swap weaving must be observationally equivalent.
+"""Model-based check of the weaver's single stub-on-demand path.
 
-The two modes differ only in *when* hooks are installed; any program
-should produce identical results and identical advice traces under both.
-We drive random call scripts against random advice sets in both modes
-and compare.
+Random scripts of calls, field writes, inserts and withdrawals run
+against one loaded class and a trivial model of what must happen:
+
+- every call returns ``x + index`` and every write stores its value,
+  advised or not;
+- each recorder sees exactly the calls (or writes) made while it was
+  inserted, in order;
+- whenever no aspect is inserted, the class dict holds the same keys and
+  the same objects as before ``load_class`` — unadvised classes are
+  pristine — and unloading the class restores it in any state.
 """
 
 from hypothesis import given, strategies as st
 
-from repro.aop import Aspect, MethodCut, ProseVM
+from repro.aop import Aspect, FieldWriteCut, MethodCut, ProseVM
 from repro.aop.advice import AdviceKind
 
 METHODS = ("alpha", "beta", "gamma")
+FIELD = "value"
 
 
 def make_app_class():
@@ -24,56 +31,72 @@ def make_app_class():
 
 
 class Recorder(Aspect):
-    def __init__(self, method):
-        super().__init__()
-        self.seen = []
-        self.add_advice(
-            AdviceKind.BEFORE,
-            MethodCut(type="App", method=method),
-            self.record,
-        )
+    """Records the join points it advises: a method name or ``FIELD``."""
 
-    def record(self, ctx):
+    def __init__(self, target):
+        super().__init__()
+        self.target = target
+        self.seen = []
+        if target == FIELD:
+            cut = FieldWriteCut(type="App", field=FIELD)
+            self.add_advice(AdviceKind.BEFORE, cut, self.record_write)
+        else:
+            cut = MethodCut(type="App", method=target)
+            self.add_advice(AdviceKind.BEFORE, cut, self.record_call)
+
+    def record_call(self, ctx):
         self.seen.append((ctx.method_name, ctx.args))
 
+    def record_write(self, ctx):
+        self.seen.append((ctx.field, (ctx.new_value,)))
 
-# A script: list of (action, arg) where action is call/insert/withdraw.
+
+TARGETS = METHODS + (FIELD,)
+
+# A script: list of (action, target, value); "call" on FIELD is a write.
 scripts = st.lists(
     st.one_of(
-        st.tuples(st.just("call"), st.sampled_from(METHODS), st.integers(-5, 5)),
-        st.tuples(st.just("insert"), st.sampled_from(METHODS), st.just(0)),
+        st.tuples(st.just("call"), st.sampled_from(TARGETS), st.integers(-5, 5)),
+        st.tuples(st.just("insert"), st.sampled_from(TARGETS), st.just(0)),
         st.tuples(st.just("withdraw"), st.integers(0, 5), st.just(0)),
     ),
     max_size=25,
 )
 
 
-def run_script(mode, script):
-    vm = ProseVM(mode=mode)
-    cls = make_app_class()
-    vm.load_class(cls)
-    app = cls()
-    inserted = []
-    results = []
-    traces = []
-    for action, arg, value in script:
-        if action == "call":
-            results.append(getattr(app, arg)(value))
-        elif action == "insert":
-            aspect = Recorder(arg)
-            vm.insert(aspect)
-            inserted.append(aspect)
-            traces.append(aspect.seen)
-        elif action == "withdraw" and inserted:
-            aspect = inserted[arg % len(inserted)]
-            if vm.is_inserted(aspect):
-                vm.withdraw(aspect)
-    return results, traces
-
-
-class TestModeEquivalence:
+class TestSingleWeaverModel:
     @given(scripts)
-    def test_results_and_traces_identical(self, script):
-        resident = run_script("resident", script)
-        swap = run_script("swap", script)
-        assert resident == swap
+    def test_results_traces_and_pristine_dict(self, script):
+        vm = ProseVM()
+        cls = make_app_class()
+        pristine = dict(vars(cls))
+        vm.load_class(cls)
+        app = cls()
+        inserted = []  # every recorder ever inserted, in order
+        expected = {}  # recorder -> the trace the model predicts
+        for action, target, value in script:
+            if action == "call":
+                if target == FIELD:
+                    setattr(app, FIELD, value)
+                    assert app.value == value
+                else:
+                    assert getattr(app, target)(value) == value + METHODS.index(target)
+                for recorder in inserted:
+                    if vm.is_inserted(recorder) and recorder.target == target:
+                        expected[recorder].append((target, (value,)))
+            elif action == "insert":
+                recorder = Recorder(target)
+                vm.insert(recorder)
+                inserted.append(recorder)
+                expected[recorder] = []
+            elif action == "withdraw" and inserted:
+                recorder = inserted[target % len(inserted)]
+                if vm.is_inserted(recorder):
+                    vm.withdraw(recorder)
+            if not vm.aspects:
+                assert dict(vars(cls)) == pristine
+                assert all(vars(cls)[k] is v for k, v in pristine.items())
+        for recorder in inserted:
+            assert recorder.seen == expected[recorder]
+        vm.unload_class(cls)
+        assert dict(vars(cls)) == pristine

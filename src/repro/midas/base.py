@@ -166,6 +166,12 @@ class ExtensionBase:
 
         self.activity_log: list[AdaptationRecord] = []
         self._adapted: dict[tuple[str, str], _Adapted] = {}  # (node, name) -> record
+        #: The same records indexed by node (node -> {name: record}), kept
+        #: in step with ``_adapted`` by :meth:`_put_adapted` and
+        #: :meth:`_pop_adapted`: per-node questions cost O(that node's
+        #: names), not a scan of every adaptation.  A node's names keep
+        #: their relative order in ``_adapted``; a node with none is absent.
+        self._by_node: dict[str, dict[str, _Adapted]] = {}
         #: node_id -> advertised node class ("class" service attribute),
         #: used to scope quarantine marks to a whole class of devices.
         self._node_classes: dict[str, str] = {}
@@ -250,6 +256,7 @@ class ExtensionBase:
         for tracked in self._renewer.tracked():
             self._renewer.forget(tracked.lease_id)
         self._adapted.clear()
+        self._by_node.clear()
         self._roam_epochs.clear()
         if self.pipeline is not None:
             self.pipeline.reset_volatile()
@@ -349,7 +356,7 @@ class ExtensionBase:
         this base the node now lives at a peer: re-offering then would
         resurrect exactly the leases the roam dropped.
         """
-        newly_seen = not any(node == node_id for (node, _) in self._adapted)
+        newly_seen = node_id not in self._by_node
         if not fresh and newly_seen:
             known = self._roam_epochs.get(node_id)
             if known is not None and known[1] != self.node_id:
@@ -427,8 +434,8 @@ class ExtensionBase:
             previous = self._adapted.get((node_id, name))
             if previous is not None and previous.lease_id != lease_id:
                 self._renewer.forget(previous.lease_id)
-            self._adapted[(node_id, name)] = _Adapted(
-                node_id, name, envelope.version, lease_id, trace=span.context
+            self._put_adapted(
+                _Adapted(node_id, name, envelope.version, lease_id, trace=span.context)
             )
             if not self._renewer.tracking(lease_id):
                 self._renewer.track(
@@ -464,7 +471,7 @@ class ExtensionBase:
         Returns True when a live adaptation existed (so a revocation was
         initiated); :attr:`on_revoked` later reports how it resolved.
         """
-        live = self._adapted.pop((node_id, name), None)
+        live = self._pop_adapted(node_id, name)
         if live is None:
             return False
         self._renewer.forget(live.lease_id)
@@ -531,9 +538,8 @@ class ExtensionBase:
 
     def revoke_node(self, node_id: str, reason: str = "revoked") -> None:
         """Revoke every extension this base holds on ``node_id``."""
-        for (node, name) in list(self._adapted):
-            if node == node_id:
-                self.revoke(node_id, name, reason)
+        for name in list(self._by_node.get(node_id, ())):
+            self.revoke(node_id, name, reason)
 
     def renew_node(
         self,
@@ -551,9 +557,7 @@ class ExtensionBase:
         peer confirmed.
         """
         lease_ids = sorted(
-            live.lease_id
-            for (node, _), live in self._adapted.items()
-            if node == node_id
+            live.lease_id for live in self._by_node.get(node_id, {}).values()
         )
         if not lease_ids:
             if on_done is not None:
@@ -641,7 +645,7 @@ class ExtensionBase:
             self.catalog.mark_unhealthy(
                 name, node_class, int(version) if version is not None else None
             )
-        live = self._adapted.pop((sender, name), None)
+        live = self._pop_adapted(sender, name)
         if live is not None:
             self._renewer.forget(live.lease_id)
         offender = body.get("offender", name)
@@ -776,7 +780,7 @@ class ExtensionBase:
             recorder.count("midas.roam.stale_ignored", node=self.node_id)
             return
         self._roam_epochs[node_id] = epoch
-        if any(node == node_id for (node, _) in self._adapted):
+        if node_id in self._by_node:
             logger.debug(
                 "%s: node %s roamed to %s; dropping leases",
                 self.node_id,
@@ -859,9 +863,7 @@ class ExtensionBase:
         if known is not None and epoch <= known:
             return
         self._roam_epochs[node_id] = epoch
-        if epoch[1] != self.node_id and any(
-            node == node_id for (node, _) in self._adapted
-        ):
+        if epoch[1] != self.node_id and node_id in self._by_node:
             recorder = _telemetry.get_recorder()
             recorder.count("midas.roam.reconciled", node=self.node_id)
             recorder.event(
@@ -878,11 +880,11 @@ class ExtensionBase:
 
     def adapted_nodes(self) -> list[str]:
         """Node ids currently holding at least one extension from this base."""
-        return sorted({node for (node, _) in self._adapted})
+        return sorted(self._by_node)
 
     def extensions_on(self, node_id: str) -> list[str]:
         """Names of this base's extensions live on ``node_id``."""
-        return sorted(name for (node, name) in self._adapted if node == node_id)
+        return sorted(self._by_node.get(node_id, ()))
 
     def activity_for(self, node_id: str) -> list[AdaptationRecord]:
         """Activity-log entries concerning ``node_id``."""
@@ -950,22 +952,40 @@ class ExtensionBase:
     def _renewal_abandoned(self, tracked: TrackedLease) -> None:
         node_id: str = tracked.context
         name: str = tracked.resource
-        self._adapted.pop((node_id, name), None)
+        self._pop_adapted(node_id, name)
         self._log(node_id, name, "renewed-lost", "keepalive failures")
-        if not any(node == node_id for (node, _) in self._adapted):
+        if node_id not in self._by_node:
             self.on_node_lost.fire(node_id)
 
     def _drop_node(self, node_id: str, action: str, detail: str) -> None:
-        dropped = False
-        for (node, name) in list(self._adapted):
-            if node != node_id:
-                continue
-            live = self._adapted.pop((node, name))
+        names = self._by_node.pop(node_id, None)
+        if names is None:
+            return
+        for name, live in names.items():
+            del self._adapted[(node_id, name)]
             self._renewer.forget(live.lease_id)
             self._log(node_id, name, action, detail)
-            dropped = True
-        if dropped:
-            self.on_node_lost.fire(node_id)
+        self.on_node_lost.fire(node_id)
+
+    # -- the adaptation map -------------------------------------------------------------------------
+
+    def _put_adapted(self, live: _Adapted) -> None:
+        """Record ``live`` in ``_adapted`` and the per-node index."""
+        self._adapted[(live.node_id, live.name)] = live
+        names = self._by_node.get(live.node_id)
+        if names is None:
+            names = self._by_node[live.node_id] = {}
+        names[live.name] = live
+
+    def _pop_adapted(self, node_id: str, name: str) -> _Adapted | None:
+        """Remove one adaptation from ``_adapted`` and the per-node index."""
+        live = self._adapted.pop((node_id, name), None)
+        if live is not None:
+            names = self._by_node[node_id]
+            del names[name]
+            if not names:
+                del self._by_node[node_id]
+        return live
 
     def _log(self, node_id: str, extension: str, action: str, detail: str = "") -> None:
         self.activity_log.append(

@@ -6,19 +6,23 @@ partition separates them).  Latency is distance-dependent plus seeded
 jitter; loss is seeded-probabilistic.  All randomness comes from one
 ``random.Random(seed)``, so runs are reproducible.
 
-Payloads are deep-copied on delivery — see :mod:`repro.net.message`.
+Every delivered payload is isolated with
+:func:`~repro.net.message.wire_copy`: the receiver gets its own copy of
+each dict, list, tuple and plain (dataclass-like) object, so no two nodes
+share mutable state.  Aliasing inside one payload is not preserved —
+each occurrence of a mutable container is copied separately, as on a
+JSON-like wire.  See :mod:`repro.net.message` for the full rule.
 """
 
 from __future__ import annotations
 
-import copy
 import logging
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.errors import UnknownNodeError
-from repro.net.message import Message
+from repro.net.message import Message, wire_copy
 from repro.net.node import NetworkNode
 from repro.sim.kernel import Simulator
 from repro.util.signal import Signal
@@ -88,11 +92,9 @@ class Network:
         simulator: Simulator,
         config: NetworkConfig | None = None,
         seed: int = 0,
-        copy_payloads: bool = True,
     ):
         self.simulator = simulator
         self.config = config or NetworkConfig()
-        self.copy_payloads = copy_payloads
         self._rng = random.Random(seed)
         self._nodes: dict[str, NetworkNode] = {}
         self._partitions: set[frozenset[str]] = set()
@@ -264,12 +266,12 @@ class Network:
         if destination is None:
             self._drop(message, "destination detached in flight")
             return
-        if self.copy_payloads and message.payload is not None:
+        if message.payload is not None:
             message = Message(
                 message.source,
                 message.destination,
                 message.kind,
-                copy.deepcopy(message.payload),
+                wire_copy(message.payload),
                 message.message_id,
                 trace=message.trace,
             )

@@ -1,12 +1,18 @@
 """Radio network tests."""
 
+import copy
+from dataclasses import dataclass
+from typing import Any
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import UnknownNodeError
 from repro.net.geometry import Position
-from repro.net.message import Message
+from repro.net.message import WIRE_COPY_DEPTH, Message, wire_copy
 from repro.net.network import Network, NetworkConfig
 from repro.net.node import NetworkNode
+from repro.net.transport import _RequestBody
 
 
 def make_pair(network, distance=10.0, radio_range=50.0):
@@ -103,7 +109,7 @@ class TestDelivery:
 
         assert one_way(1000.0) > one_way(1.0)
 
-    def test_payloads_deep_copied(self, sim, network):
+    def test_payloads_isolated(self, sim, network):
         a, b = make_pair(network)
         received = []
         b.set_handler("data", lambda msg: received.append(msg.payload))
@@ -156,6 +162,156 @@ class TestDelivery:
         a.broadcast("hello")
         sim.run()
         assert got == []
+
+
+@dataclass(frozen=True)
+class Wrapped:
+    """A frozen dataclass around a mutable body, like a transport envelope."""
+
+    label: str
+    body: Any
+
+
+class OwnCopy:
+    """A class that decides for itself what a deep copy of it is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __deepcopy__(self, memo):
+        return OwnCopy(f"copied:{self.value}")
+
+
+def mutable_ids(value, seen=None) -> set[int]:
+    """ids of every dict, list and plain object reachable from ``value``
+    (tuples are immutable and ``()`` is a shared singleton, so skipped)."""
+    seen = set() if seen is None else seen
+    if isinstance(value, (dict, list, Wrapped)):
+        if id(value) in seen:
+            return seen
+        seen.add(id(value))
+    if isinstance(value, dict):
+        children = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple)):
+        children = list(value)
+    elif isinstance(value, Wrapped):
+        children = [value.label, value.body]
+    else:
+        children = []
+    for child in children:
+        mutable_ids(child, seen)
+    return seen
+
+
+def deliver_to(receivers, sim, payload, broadcast=False):
+    """Send ``payload`` from a sender at the origin to ``receivers`` (node
+    ids placed nearby); returns (sender, {receiver: delivered payload})."""
+    network = Network(sim, seed=5)
+    sender = network.attach(NetworkNode("src", Position(0, 0)))
+    got = {}
+    for offset, node_id in enumerate(receivers, start=1):
+        node = network.attach(NetworkNode(node_id, Position(offset, 0)))
+        node.set_handler("data", lambda msg, nid=node_id: got.__setitem__(nid, msg.payload))
+    if broadcast:
+        sender.broadcast("data", payload)
+    else:
+        sender.send(receivers[0], "data", payload)
+    sim.run()
+    return sender, got
+
+
+class TestPayloadIsolation:
+    """Delivered payloads are wire copies: no mutable object is shared."""
+
+    def test_receiver_mutation_does_not_reach_sender(self, sim):
+        payload = {"lease": {"ids": ["l:1", "l:2"]}, "renewals": [[1, 2]]}
+        _sender, got = deliver_to(["b"], sim, payload)
+        got["b"]["lease"]["ids"].append("l:3")
+        got["b"]["renewals"][0].clear()
+        assert payload == {"lease": {"ids": ["l:1", "l:2"]}, "renewals": [[1, 2]]}
+
+    def test_broadcast_receivers_get_separate_copies(self, sim):
+        payload = {"digest": {"n1": [1.0, "base-a"]}}
+        _sender, got = deliver_to(["b", "c"], sim, payload, broadcast=True)
+        got["b"]["digest"]["n1"].append("mutated")
+        assert got["c"] == payload == {"digest": {"n1": [1.0, "base-a"]}}
+
+    def test_frozen_request_body_arrives_fresh_with_copied_body(self, sim):
+        body = {"lease_ids": ["l:1"]}
+        request = _RequestBody("req:1", "midas.keepalive", body)
+        _sender, got = deliver_to(["b"], sim, request)
+        delivered = got["b"]
+        assert type(delivered) is _RequestBody
+        assert delivered is not request
+        assert delivered == request
+        assert delivered.body is not body
+        assert delivered.body["lease_ids"] is not body["lease_ids"]
+
+    def test_own_deepcopy_is_honoured(self, sim):
+        _sender, got = deliver_to(["b"], sim, {"token": OwnCopy("x")})
+        assert got["b"]["token"].value == "copied:x"
+
+    def test_self_referencing_list_terminates_and_shares_nothing(self):
+        cyclic: list = [1]
+        cyclic.append(cyclic)
+        copied = wire_copy(cyclic)
+        assert copied[0] == 1
+        assert not mutable_ids(copied) & mutable_ids(cyclic)
+
+    def test_deep_nesting_beyond_the_cap_is_still_isolated(self):
+        deep: dict = {"leaf": [0]}
+        for level in range(WIRE_COPY_DEPTH * 2):
+            deep = {"level": level, "child": deep}
+        copied = wire_copy(deep)
+        assert copied == deep
+        assert not mutable_ids(copied) & mutable_ids(deep)
+
+    def test_aliasing_inside_a_payload_is_not_preserved(self, sim):
+        # As on a JSON-like wire: each reference is serialized separately,
+        # so the receiver gets two equal, independent lists.
+        shared = [1, 2]
+        _sender, got = deliver_to(["b"], sim, {"a": shared, "b": shared})
+        delivered = got["b"]
+        assert delivered["a"] == delivered["b"] == [1, 2]
+        assert delivered["a"] is not delivered["b"]
+        delivered["a"].append(3)
+        assert delivered["b"] == [1, 2]
+
+    def test_atoms_travel_as_they_are(self):
+        text, blob, caps = "x" * 50, b"payload", frozenset({"net", "clock"})
+        assert wire_copy(text) is text
+        assert wire_copy(blob) is blob
+        assert wire_copy(caps) is caps
+
+
+_atoms = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=5),
+    st.binary(max_size=5),
+    st.frozensets(st.text(max_size=3), max_size=3),
+)
+_trees = st.recursive(
+    _atoms,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.builds(Wrapped, st.text(max_size=4), children),
+    ),
+    max_leaves=25,
+)
+
+
+class TestWireCopyProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_trees)
+    def test_equals_deepcopy_and_shares_no_mutable_object(self, tree):
+        copied = wire_copy(tree)
+        assert copied == copy.deepcopy(tree)
+        assert not mutable_ids(copied) & mutable_ids(tree)
 
 
 class TestLoss:

@@ -184,6 +184,27 @@ class TestPendingCounterAndCompaction:
         assert sim.pending == 50
         assert sim.run() == 50
 
+    def test_compaction_keeps_fifo_order_of_equal_time_survivors(self, sim):
+        fired = []
+        events = [
+            sim.schedule(1.0, fired.append, index)
+            for index in range(Simulator.COMPACT_MIN * 3)
+        ]
+        survivors = [index for index in range(len(events)) if index % 7 == 3]
+        for index, event in enumerate(events):
+            if index not in survivors:
+                event.cancel()
+        assert sim.compactions >= 1
+        assert sim.pending == len(survivors)
+        # Events scheduled after the rebuild still queue behind the
+        # survivors: seq, not heap position, orders equal times.
+        late = [sim.schedule(1.0, fired.append, f"late-{n}") for n in range(3)]
+        late[1].cancel()
+        assert sim.pending == len(survivors) + 2
+        assert sim.run() == len(survivors) + 2
+        assert fired == survivors + ["late-0", "late-2"]
+        assert sim.pending == 0
+
     def test_repeated_reschedule_stays_bounded(self, sim):
         # The fleet pattern: park a timer, cancel + re-arm it many times.
         event = sim.schedule(1000.0, lambda: None)

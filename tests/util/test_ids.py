@@ -1,5 +1,6 @@
 """Identifier generation tests."""
 
+import sys
 import threading
 
 from repro.util.ids import IdGenerator, fresh_id
@@ -29,18 +30,33 @@ class TestIdGenerator:
 
     def test_no_duplicates_under_concurrency(self):
         gen = IdGenerator()
+        threads, rounds, prefixes = 4, 100, 50
         seen: list[str] = []
+        barrier = threading.Barrier(threads)
 
         def worker():
-            for _ in range(200):
-                seen.append(gen.next("t"))
+            for round_ in range(rounds):
+                # All threads walk the same brand-new prefixes at once, so
+                # counters are created under contention, not only drawn.
+                barrier.wait()
+                for index in range(prefixes):
+                    seen.append(gen.next(f"r{round_}-{index}"))
+                    seen.append(gen.next("shared"))
 
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(seen) == len(set(seen)) == 800
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == len(set(seen)) == 2 * threads * rounds * prefixes
+        assert {i for i in seen if i.startswith("r7-3:")} == {
+            f"r7-3:{n}" for n in range(threads)
+        }
 
 
 class TestFreshId:

@@ -73,7 +73,7 @@ class BaseStation:
         self.lookup = LookupService(
             self.transport,
             platform.simulator,
-            sweep_interval=platform.lease_sweep_interval,
+            sweep_interval=platform.batch_interval,
         )
         self.catalog = ExtensionCatalog(signer)
         self.extension_base = ExtensionBase(
@@ -83,7 +83,7 @@ class BaseStation:
             lease_duration,
             retry_policy=platform.retry_policy,
             pipeline=platform.pipeline,
-            renew_batch_interval=platform.renew_batch_interval,
+            renew_batch_interval=platform.batch_interval,
             roam_sync_interval=platform.roam_sync_interval,
         )
         self.extension_base.watch_lookup(self.lookup)
@@ -240,19 +240,17 @@ class ProactivePlatform:
         retry_policy: RetryPolicy | None = None,
         supervision: SupervisionPolicy | None = None,
         pipeline: PipelineConfig | None = None,
-        lease_sweep_interval: float | None = None,
-        renew_batch_interval: float | None = None,
+        batch_interval: float | None = None,
         roam_sync_interval: float | None = None,
     ):
         self.simulator = Simulator()
         self.network = Network(self.simulator, config=network_config, seed=seed)
         self.lease_duration = lease_duration
-        #: Fleet-scale batching knobs (see :mod:`repro.fleet`): lease
-        #: tables sweep in batches instead of one timer per lease, and
-        #: base keepalives ride one sweep timer per station.  ``None``
-        #: keeps the classic exact per-lease timers.
-        self.lease_sweep_interval = lease_sweep_interval
-        self.renew_batch_interval = renew_batch_interval
+        #: Fleet-scale batching period (see :mod:`repro.fleet`): each
+        #: station's lookup lease table sweeps in batches instead of one
+        #: timer per lease, and its base keepalives ride one sweep timer.
+        #: ``None`` keeps the classic exact per-lease timers.
+        self.batch_interval = batch_interval
         #: When set, linked base stations run anti-entropy roam
         #: reconciliation at this period (see ExtensionBase); None keeps
         #: the classic announce-only roaming algorithm.

@@ -647,8 +647,7 @@ class FleetBuilder:
             pipeline=self.pipeline,
             # Batched sweeps at the base: one timer per lease table,
             # however many head leases the tree parks there.
-            lease_sweep_interval=self.renew_interval,
-            renew_batch_interval=self.renew_interval,
+            batch_interval=self.renew_interval,
         )
         base = platform.create_base_station("base")
         base.catalog.add("fleet-policy", FleetPolicyAspect)

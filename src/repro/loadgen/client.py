@@ -9,35 +9,30 @@ property of a closed system, and what makes the interactive response-
 time law ``R = N / X - Z`` applicable to the measurements.
 
 A client is *not* a full :class:`~repro.midas.receiver.AdaptationService`
-— it is a protocol stub that speaks just enough MIDAS to complete the
-base's side of each operation (grant/refresh/renew/drop leases) without
-verification or weaving cost, so the base station's pipeline is the only
-station in the measured system.  Operations travel to the base as a
-one-way ``loadgen.drive`` notify (the memtier → net-thread hop); the
-harness's drive handler turns them into real
-:class:`~repro.midas.base.ExtensionBase` calls.
+but a :class:`~repro.midas.stub.StubReceiver`: it speaks just enough
+MIDAS to complete the base's side of each operation (grant/refresh/
+renew/drop leases) without verification or weaving cost, so the base
+station's pipeline is the only station in the measured system.
+Operations travel to the base as a one-way ``loadgen.drive`` notify (the
+memtier → net-thread hop); the harness's drive handler turns them into
+real :class:`~repro.midas.base.ExtensionBase` calls.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable
 
-from repro.discovery.registrar import REGISTER, RENEW
-from repro.discovery.service import ServiceItem
 from repro.loadgen.scenario import Scenario
 from repro.loadgen.windows import WindowedCollector
-from repro.midas.receiver import KEEPALIVE, OFFER, REVOKE
+from repro.midas.stub import StubReceiver
 from repro.net.transport import Transport
 from repro.sim.kernel import Event, Simulator
-from repro.sim.timers import PeriodicTimer
-from repro.util.ids import fresh_id
 
 #: The one-way operation carrying a client's next op to the base.
 DRIVE = "loadgen.drive"
 
 
-class LoadClient:
+class LoadClient(StubReceiver):
     """One virtual client of the closed population."""
 
     def __init__(
@@ -49,27 +44,19 @@ class LoadClient:
         base_id: str,
         collector: WindowedCollector,
     ):
+        # Registrars cap lease terms (30s by default), so like a real
+        # DiscoveryClient this stub renews its registration or the base
+        # sees the node deregister mid-run and drops its adaptations.
+        # Renewals are served inline by the registrar (no pipeline job),
+        # so the upkeep does not load the measured station.
+        super().__init__(transport, simulator, "loadgen", scenario.lease_duration)
         self.index = index
-        self.transport = transport
-        self.simulator = simulator
         self.scenario = scenario
-        self.base_id = base_id
+        self.home = base_id
         self.collector = collector
-        self.node_id = transport.node.node_id
         self.rng = random.Random(f"loadgen:{scenario.seed}:client:{index}")
         self._catalog = [ext_name(i) for i in range(scenario.catalog_size)]
         self._mix = sorted(scenario.normalized_mix().items())
-        #: The advertised adaptation service, set by the harness when it
-        #: registers this client; ``discovery`` ops re-register it.
-        self.service_item: ServiceItem | None = None
-        #: Extension name -> lease id this stub currently holds.
-        self.leases: dict[str, str] = {}
-        #: The registrar lease on :attr:`service_item`.  Registrars cap
-        #: lease terms (30s by default), so like a real DiscoveryClient
-        #: this stub must renew or the base sees the node deregister
-        #: mid-run and drops every adaptation it holds for it.
-        self.registration_lease: str | None = None
-        self._registration_timer: PeriodicTimer | None = None
         self.stopped = False
         #: Monotonic op number; completions carry it so a late or
         #: duplicate resolution of a timed-out op cannot complete the
@@ -82,49 +69,27 @@ class LoadClient:
         self.completed = 0
         self.errors = 0
 
-        transport.register(OFFER, self._serve_offer)
-        transport.register(KEEPALIVE, self._serve_keepalive)
-        transport.register(REVOKE, self._serve_revoke)
-
-    # -- MIDAS protocol stub (receiver side) --------------------------------------
-
-    def _serve_offer(self, sender: str, body: dict) -> dict:
-        envelope = body["envelope"]
-        name = envelope.name
-        lease_id = self.leases.get(name)
-        if lease_id is None:
-            # Fresh install; a re-offer of a held extension refreshes the
-            # lease under the *same* id, like a real receiver.
-            lease_id = self.leases[name] = fresh_id(f"{self.node_id}.lease")
-        return {"lease_id": lease_id, "duration": body["duration"]}
-
-    def _serve_keepalive(self, sender: str, body: dict) -> dict:
-        held = set(self.leases.values())
-        renewed = [lid for lid in body["lease_ids"] if lid in held]
-        unknown = [lid for lid in body["lease_ids"] if lid not in held]
-        return {"renewed": renewed, "unknown": unknown}
-
-    def _serve_revoke(self, sender: str, body: dict) -> dict:
-        lease_id = body["lease_id"]
-        for name, held in list(self.leases.items()):
-            if held == lease_id:
-                del self.leases[name]
-                return {"revoked": True}
-        return {"revoked": False}
-
     # -- closed loop ---------------------------------------------------------------
 
-    def start(self, register: Callable[["LoadClient"], None] | None) -> None:
+    def start(self, register: bool) -> None:
         """Enter the loop: optionally register with the base, then think.
 
-        ``register`` performs the initial service registration (the
-        harness owns the discovery wiring); the loop itself starts after
-        one think period, so client start-ups are naturally staggered by
-        their seeded think draws.
+        The loop itself starts after one think period, so client
+        start-ups are naturally staggered by their seeded think draws.
         """
-        if register is not None:
-            register(self)
+        if register:
+            self._enroll(self.home)
         self.simulator.schedule(self._think_delay(), self._issue)
+
+    def _enroll(self, base_id: str) -> None:
+        # Registration is load-bearing (its reply arms lease renewal): a
+        # lost request is re-sent with a fresh item, paced by the op
+        # timeout, until the station answers.
+        self.register(
+            base_id,
+            on_error=lambda error: self._enroll(base_id),
+            timeout=self.scenario.op_timeout,
+        )
 
     def stop(self) -> None:
         """Leave the loop; a pending op resolves silently."""
@@ -132,39 +97,7 @@ class LoadClient:
         if self._deadline is not None:
             self._deadline.cancel()
             self._deadline = None
-        if self._registration_timer is not None:
-            self._registration_timer.stop()
-            self._registration_timer = None
-
-    # -- registration lease upkeep -------------------------------------------------
-
-    def keep_registered(self, lease_id: str, granted: float) -> None:
-        """Track the registrar lease and renew it before it expires.
-
-        Renewals are served inline by the registrar (no pipeline job),
-        so this background upkeep does not load the measured station.
-        """
-        self.registration_lease = lease_id
-        if self._registration_timer is None:
-            self._registration_timer = PeriodicTimer(
-                self.simulator,
-                max(granted / 3.0, 0.1),
-                self._renew_registration,
-                name=f"{self.node_id}.registration",
-            ).start()
-
-    def _renew_registration(self) -> None:
-        if self.registration_lease is None or self.stopped:
-            return
-        self.transport.request(
-            self.base_id,
-            RENEW,
-            {
-                "lease_id": self.registration_lease,
-                "duration": self.scenario.lease_duration,
-            },
-            on_error=lambda error: None,  # next tick retries with the live lease
-        )
+        self.abandon_home()
 
     def _think_delay(self) -> float:
         think = self.scenario.think_time
@@ -188,7 +121,7 @@ class LoadClient:
             if draw < cumulative:
                 op = candidate
                 break
-        held = sorted(self.leases)
+        held = sorted(name for _granter, name in self.held)
         if op in ("renew", "revoke") and not held:
             op = "install"
         if op == "discovery" and self.service_item is None:
@@ -208,27 +141,21 @@ class LoadClient:
             self.scenario.op_timeout, self._timed_out, self.seq
         )
         if op == "discovery":
-            # Re-register the adaptation service: a real lookup.register
+            # Re-register the same adaptation service (same service_id,
+            # so the registrar replaces it): a real lookup.register
             # round.  Completion is the registrar's reply; the base may
             # additionally re-offer extensions this stub is missing.
             seq = self.seq
-
-            def on_reply(body: dict) -> None:
-                # Re-registration replaced the old lease; renew the new one.
-                self.keep_registered(body["lease_id"], body["duration"])
-                self.resolve(seq, True)
-
-            self.transport.request(
-                self.base_id,
-                REGISTER,
-                {"item": self.service_item, "duration": self.scenario.lease_duration},
-                on_reply=on_reply,
+            self.register(
+                self.home,
                 on_error=lambda error: self.resolve(seq, False),
                 timeout=self.scenario.op_timeout,
+                on_reply=lambda body: self.resolve(seq, True),
+                item=self.service_item,
             )
             return
         self.transport.notify(
-            self.base_id,
+            self.home,
             DRIVE,
             {"client": self.node_id, "seq": self.seq, "op": op, "name": name},
         )

@@ -1,9 +1,8 @@
 """Storm nodes: lightweight roaming receivers.
 
-A :class:`StormNode` is a protocol stub in the :mod:`repro.loadgen`
-mold — it speaks just enough MIDAS (OFFER / KEEPALIVE / REVOKE, plus
-registrar REGISTER / RENEW) for bases to adapt it, without a ProseVM, so
-storms scale to thousands of nodes.  Unlike a load client it models the
+A :class:`StormNode` is a :class:`~repro.midas.stub.StubReceiver`: it
+speaks just enough MIDAS for bases to adapt it, without a ProseVM, so
+storms scale to thousands of nodes.  On top of the stub it models the
 *roaming* side faithfully:
 
 - it is homed at exactly one base at a time and keeps exactly that
@@ -19,45 +18,14 @@ storms scale to thousands of nodes.  Unlike a load client it models the
 
 from __future__ import annotations
 
-from repro.discovery.registrar import REGISTER, RENEW
-from repro.discovery.service import ServiceItem
-from repro.midas.receiver import (
-    ADAPTATION_INTERFACE,
-    HEALTH,
-    KEEPALIVE,
-    OFFER,
-    REVOKE,
-)
+from repro.midas.receiver import HEALTH
+from repro.midas.stub import HeldLease, StubReceiver
 from repro.net.transport import Transport
 from repro.sim.kernel import Simulator
-from repro.sim.timers import PeriodicTimer
 from repro.telemetry import runtime as _telemetry
-from repro.util.ids import fresh_id
 
 
-class HeldLease:
-    """One extension lease this node holds from one base."""
-
-    __slots__ = ("lease_id", "name", "granter", "version", "duration", "expires_at")
-
-    def __init__(
-        self,
-        lease_id: str,
-        name: str,
-        granter: str,
-        version: int,
-        duration: float,
-        expires_at: float,
-    ):
-        self.lease_id = lease_id
-        self.name = name
-        self.granter = granter
-        self.version = version
-        self.duration = duration
-        self.expires_at = expires_at
-
-
-class StormNode:
+class StormNode(StubReceiver):
     """One roaming member of the storm population."""
 
     def __init__(
@@ -68,92 +36,24 @@ class StormNode:
         node_class: str,
         registration_lease: float,
     ):
+        super().__init__(transport, simulator, node_class, registration_lease)
         self.index = index
-        self.transport = transport
-        self.simulator = simulator
-        self.node_class = node_class
-        self.registration_lease = registration_lease
-        self.node_id = transport.node.node_id
-        #: The base this node currently calls home (None before joining
-        #: and while churned away).
-        self.home: str | None = None
-        #: ``(granting base, extension)`` -> lease.  Two granters for the
-        #: same node is physically possible — that is the dual-home bug
-        #: state, observable here and at the bases.
-        self.held: dict[tuple[str, str], HeldLease] = {}
         self.attached = True
-        self._registration_lease_id: str | None = None
-        self._upkeep: PeriodicTimer | None = None
         # Storm accounting.
         self.migrations = 0
         self.installs = 0
         self.withdrawals = 0
 
-        transport.register(OFFER, self._serve_offer)
-        transport.register(KEEPALIVE, self._serve_keepalive)
-        transport.register(REVOKE, self._serve_revoke)
+    def installed(self, lease: HeldLease) -> None:
+        self.installs += 1
+        _telemetry.get_recorder().event(
+            "storm.installed",
+            node=self.node_id,
+            extension=lease.name,
+            granter=lease.granter,
+        )
 
-    # -- MIDAS protocol stub -------------------------------------------------------
-
-    def _serve_offer(self, sender: str, body: dict) -> dict:
-        envelope = body["envelope"]
-        duration = float(body["duration"])
-        key = (sender, envelope.name)
-        lease = self.held.get(key)
-        if lease is None:
-            lease = self.held[key] = HeldLease(
-                fresh_id(f"{self.node_id}.lease"),
-                envelope.name,
-                sender,
-                envelope.version,
-                duration,
-                self.simulator.now + duration,
-            )
-            self.installs += 1
-            _telemetry.get_recorder().event(
-                "storm.installed",
-                node=self.node_id,
-                extension=envelope.name,
-                granter=sender,
-            )
-        else:
-            # Re-offer of a held extension: refresh under the same lease
-            # id (a version bump rides the same refresh).
-            lease.version = envelope.version
-            lease.duration = duration
-            lease.expires_at = self.simulator.now + duration
-        return {"lease_id": lease.lease_id, "duration": duration}
-
-    def _serve_keepalive(self, sender: str, body: dict) -> dict:
-        by_id = {lease.lease_id: lease for lease in self.held.values()}
-        renewed, unknown = [], []
-        for lease_id in body["lease_ids"]:
-            lease = by_id.get(lease_id)
-            if lease is None:
-                unknown.append(lease_id)
-            else:
-                lease.expires_at = self.simulator.now + lease.duration
-                renewed.append(lease_id)
-        return {"renewed": renewed, "unknown": unknown}
-
-    def _serve_revoke(self, sender: str, body: dict) -> dict:
-        lease_id = body["lease_id"]
-        for key, lease in list(self.held.items()):
-            if lease.lease_id == lease_id:
-                self._withdraw(key, "revoked")
-                return {"revoked": True}
-        return {"revoked": False}
-
-    def sweep(self, now: float) -> None:
-        """Expire overdue leases (driven by the world's shared sweeper)."""
-        for key, lease in list(self.held.items()):
-            if lease.expires_at <= now:
-                self._withdraw(key, "expired")
-
-    def _withdraw(self, key: tuple[str, str], reason: str) -> None:
-        lease = self.held.pop(key, None)
-        if lease is None:
-            return
+    def withdrawn(self, lease: HeldLease, reason: str) -> None:
         self.withdrawals += 1
         _telemetry.get_recorder().event(
             "storm.withdrawn",
@@ -163,6 +63,12 @@ class StormNode:
             reason=reason,
         )
 
+    def sweep(self, now: float) -> None:
+        """Expire overdue leases (driven by the world's shared sweeper)."""
+        for key, lease in list(self.held.items()):
+            if lease.expires_at <= now:
+                self.withdraw(key, "expired")
+
     # -- roaming lifecycle ---------------------------------------------------------
 
     def join(self, base_id: str) -> None:
@@ -171,7 +77,7 @@ class StormNode:
         _telemetry.get_recorder().event(
             "storm.join", node=self.node_id, base=base_id
         )
-        self._register(base_id)
+        self.register(base_id)
 
     def migrate(self, base_id: str) -> None:
         """Roam to ``base_id``: register there, let the old lease lapse.
@@ -191,7 +97,7 @@ class StormNode:
             base=base_id,
             previous=previous or "",
         )
-        self._register(base_id)
+        self.register(base_id)
 
     def leave(self) -> None:
         """Churn out: drop off the network mid-storm."""
@@ -199,11 +105,7 @@ class StormNode:
             return
         self.attached = False
         previous = self.home
-        self.home = None
-        self._registration_lease_id = None
-        if self._upkeep is not None:
-            self._upkeep.stop()
-            self._upkeep = None
+        self.abandon_home()
         _telemetry.get_recorder().event(
             "storm.leave", node=self.node_id, base=previous or ""
         )
@@ -221,7 +123,7 @@ class StormNode:
             "storm.return", node=self.node_id, base=base_id
         )
         self.home = base_id
-        self._register(base_id)
+        self.register(base_id)
 
     def report_quarantine(self, name: str) -> None:
         """Report ``name`` quarantined to its granter and withdraw it."""
@@ -243,54 +145,7 @@ class StormNode:
                 "offender": name,
             },
         )
-        self._withdraw(target, "quarantined")
-
-    # -- registration upkeep ---------------------------------------------------------
-
-    def _register(self, base_id: str) -> None:
-        item = ServiceItem(
-            ADAPTATION_INTERFACE, self.node_id, {"class": self.node_class}
-        )
-
-        def on_reply(body: dict) -> None:
-            if self.home != base_id or not self.attached:
-                return  # migrated again (or left) before the reply landed
-            self._registration_lease_id = body["lease_id"]
-            self._start_upkeep(float(body["duration"]))
-
-        self.transport.request(
-            base_id,
-            REGISTER,
-            {"item": item, "duration": self.registration_lease},
-            on_reply=on_reply,
-            on_error=lambda error: None,  # upkeep / re-register heals later
-        )
-
-    def _start_upkeep(self, granted: float) -> None:
-        if self._upkeep is not None:
-            return
-        self._upkeep = PeriodicTimer(
-            self.simulator,
-            max(granted / 3.0, 0.1),
-            self._renew_registration,
-            name=f"{self.node_id}.registration",
-        ).start()
-
-    def _renew_registration(self) -> None:
-        # Only the *current* home's registration is kept alive; after a
-        # migration the old base's registrar lease is left to expire,
-        # like a device that walked out of radio range.
-        if self.home is None or self._registration_lease_id is None:
-            return
-        self.transport.request(
-            self.home,
-            RENEW,
-            {
-                "lease_id": self._registration_lease_id,
-                "duration": self.registration_lease,
-            },
-            on_error=lambda error: None,
-        )
+        self.withdraw(target, "quarantined")
 
     # -- queries ----------------------------------------------------------------------
 

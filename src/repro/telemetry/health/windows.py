@@ -140,7 +140,7 @@ class WindowedBuckets(_SlidingRing):
     without retaining a single raw observation.
     """
 
-    __slots__ = ("bounds", "_counts", "count_total", "_totals", "sum_total")
+    __slots__ = ("bounds", "_counts", "count_total", "_totals")
 
     def __init__(
         self,
@@ -156,7 +156,6 @@ class WindowedBuckets(_SlidingRing):
         self._counts = [[0] * width for _ in range(self.slices)]
         self._totals = [0] * width
         self.count_total = 0
-        self.sum_total = 0.0
 
     def _clear_slot(self, slot: int) -> None:
         row = self._counts[slot]
@@ -166,18 +165,12 @@ class WindowedBuckets(_SlidingRing):
                 totals[bucket] -= n
                 self.count_total -= n
                 row[bucket] = 0
-        # The windowed sum cannot be expired per-slice exactly (we do not
-        # store per-slice sums); approximate by scaling out the expired
-        # share so the windowed mean stays usable.
-        if self.count_total <= 0:
-            self.sum_total = 0.0
 
     def _clear_all(self) -> None:
         width = len(self.bounds) + 1
         self._counts = [[0] * width for _ in range(self.slices)]
         self._totals = [0] * width
         self.count_total = 0
-        self.sum_total = 0.0
 
     def observe(self, now: float, value: float) -> None:
         """Record one observation into the slice for ``now``."""
@@ -186,14 +179,6 @@ class WindowedBuckets(_SlidingRing):
         self._counts[slot][bucket] += 1
         self._totals[bucket] += 1
         self.count_total += 1
-        self.sum_total += value
-
-    def observe_bucket(self, now: float, bucket: int, amount: int = 1) -> None:
-        """Fold pre-bucketed counts (e.g. merged from a histogram delta)."""
-        slot = self._slot(now)
-        self._counts[slot][bucket] += amount
-        self._totals[bucket] += amount
-        self.count_total += amount
 
     def count(self, now: float) -> int:
         """Observations currently inside the window."""
@@ -205,16 +190,3 @@ class WindowedBuckets(_SlidingRing):
         return bucket_quantile(
             self.bounds, self._totals, self.count(now), q, self.bounds[-1]
         )
-
-    def over_threshold_fraction(self, now: float, threshold: float) -> float:
-        """Fraction of windowed observations whose bucket bound exceeds
-        ``threshold`` — the "slow request ratio" a latency SLO burns on."""
-        total = self.count(now)
-        if total == 0:
-            return 0.0
-        cut = bisect_left(self.bounds, threshold)
-        # Buckets whose upper bound is <= threshold count as fast.
-        slow = sum(self._totals[cut + 1 :]) if cut < len(self.bounds) else 0
-        if cut < len(self.bounds) and self.bounds[cut] > threshold:
-            slow += self._totals[cut]
-        return slow / total

@@ -1,10 +1,27 @@
 """End-to-end closed-loop runs on the smoke preset (fast, deterministic)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.loadgen.harness import LoadReport, run_scenario
 from repro.loadgen.scenario import PRESETS
 from repro.telemetry import MetricsRegistry
+
+
+#: SHA-256 of each preset's canonical report JSON.  Same-seed replay
+#: alone would let a refactor change load behaviour deterministically;
+#: these pin the behaviour itself.
+PINNED_DIGESTS = {
+    "smoke": "7e477fdafe14176671d70c376eb24589d8bc7e6e29c6eff0775ebe8c2bb02e19",
+    "mmn": "e30f88e9d092d9484553844c28923ab19b9b0c0d438ec7d46c86f1918e619226",
+}
+
+
+def report_digest(report: LoadReport) -> str:
+    payload = json.dumps(report.to_dict(), sort_keys=True, default=str)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +76,6 @@ class TestSmokeRun:
         assert cycle_measured == pytest.approx(cycle_law, rel=0.10)
 
     def test_report_serializes_to_plain_json(self, report):
-        import json
-
         payload = json.dumps(report.to_dict())
         assert PRESETS["smoke"].name in payload
 
@@ -78,6 +93,13 @@ class TestDeterminism:
     def test_different_seed_changes_the_trace(self, report):
         other = run_scenario(PRESETS["smoke"].replace(seed=43))
         assert other.to_dict() != report.to_dict()
+
+
+    def test_smoke_report_matches_its_pinned_digest(self, report):
+        assert report_digest(report) == PINNED_DIGESTS["smoke"]
+
+    def test_mmn_report_matches_its_pinned_digest(self):
+        assert report_digest(run_scenario(PRESETS["mmn"])) == PINNED_DIGESTS["mmn"]
 
 
 class TestTelemetryFeed:

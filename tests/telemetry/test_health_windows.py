@@ -75,15 +75,6 @@ class TestWindowedBuckets:
         assert window.count(50.0) == 0
         assert window.quantile(50.0, 0.99) == 0.0
 
-    def test_over_threshold_fraction(self):
-        window = WindowedBuckets(self.BOUNDS, duration=10.0)
-        for _ in range(8):
-            window.observe(1.0, 0.05)  # <= 0.1: fast
-        for _ in range(2):
-            window.observe(1.0, 0.7)  # > 0.1: slow
-        assert window.over_threshold_fraction(1.0, 0.1) == pytest.approx(0.2)
-        assert window.over_threshold_fraction(1.0, 10.0) == 0.0
-
     def test_quantile_validates_q(self):
         window = WindowedBuckets(self.BOUNDS, duration=10.0)
         with pytest.raises(ValueError):

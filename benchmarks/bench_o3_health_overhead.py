@@ -27,11 +27,11 @@ pairs do not move the verdict.  Run standalone::
 """
 
 import gc
-import statistics
 import time
 
 import pytest
 
+from conftest import interleaved_pairs
 from repro.scenarios.harness import run_storm
 from repro.scenarios.spec import roaming_storm
 from repro.telemetry import MetricsRegistry
@@ -137,28 +137,12 @@ def test_o3_enabled_storm_within_budget(benchmark, bench_trajectory):
 
     run(False)  # warm: imports, caches, allocator
     run(True)
-    # Interleaved pairs, alternating which side runs first: both halves
-    # of a pair see the same machine conditions, so drift cancels in the
-    # pair's ratio instead of biasing one side.
-    ratios, without_trials, with_trials = [], [], []
-    for pair in range(STORM_PAIRS):
-        if pair % 2:
-            with_plane_s = run(True)
-            without_plane_s = run(False)
-        else:
-            without_plane_s = run(False)
-            with_plane_s = run(True)
-        without_trials.append(without_plane_s)
-        with_trials.append(with_plane_s)
-        ratios.append(with_plane_s / without_plane_s)
-    ratio = statistics.median(ratios)
+    without_plane_s, with_plane_s, ratio = interleaved_pairs(
+        lambda: run(False), lambda: run(True), STORM_PAIRS
+    )
 
-    benchmark.extra_info["storm_without_plane_s"] = round(
-        statistics.median(without_trials), 4
-    )
-    benchmark.extra_info["storm_with_plane_s"] = round(
-        statistics.median(with_trials), 4
-    )
+    benchmark.extra_info["storm_without_plane_s"] = round(without_plane_s, 4)
+    benchmark.extra_info["storm_with_plane_s"] = round(with_plane_s, 4)
     benchmark.extra_info["enabled_ratio"] = round(ratio, 3)
     assert ratio <= ENABLED_BUDGET, (
         f"enabled health-plane overhead {ratio:.3f}x (median of "

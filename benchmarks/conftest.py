@@ -13,6 +13,7 @@ Benchmarks measure two different things and label them clearly:
 from __future__ import annotations
 
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -41,6 +42,33 @@ def append_bench_row(name: str, row: dict) -> Path:
         json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return path
+
+
+def interleaved_pairs(baseline, candidate, pairs: int) -> tuple[float, float, float]:
+    """Median of each side's timings and the median per-pair ratio.
+
+    ``baseline`` and ``candidate`` each time one measurement and return
+    seconds.  Pairs alternate which side runs first, so both halves of a
+    pair see the same machine conditions: drift cancels in the pair's
+    ratio instead of biasing one side, and outlier pairs do not move
+    the median.
+    """
+    ratios, baseline_trials, candidate_trials = [], [], []
+    for pair in range(pairs):
+        if pair % 2:
+            candidate_s = candidate()
+            baseline_s = baseline()
+        else:
+            baseline_s = baseline()
+            candidate_s = candidate()
+        baseline_trials.append(baseline_s)
+        candidate_trials.append(candidate_s)
+        ratios.append(candidate_s / baseline_s)
+    return (
+        statistics.median(baseline_trials),
+        statistics.median(candidate_trials),
+        statistics.median(ratios),
+    )
 
 
 @pytest.fixture

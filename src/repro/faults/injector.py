@@ -40,6 +40,7 @@ from repro.net.node import NetworkNode
 from repro.sim.kernel import Simulator
 from repro.telemetry import runtime as _telemetry
 from repro.util.clock import Clock
+from repro.util.patterns import wildcard_match
 from repro.util.signal import Signal
 
 logger = logging.getLogger(__name__)
@@ -69,6 +70,10 @@ class FaultInjector:
         self._skewed_clocks: dict[str, SkewedClock] = {}
         self._crashed_nodes: dict[str, NetworkNode] = {}
         self._installed = False
+        #: operation -> the rules whose operation pattern matches it, in
+        #: plan order; dropped whenever the plan's rule count changes.
+        self._rules_by_operation: dict[str, tuple[MessageRule, ...]] = {}
+        self._indexed_rules = 0
         for skew in self.plan.clock_skews:
             self._skewed_clocks[skew.node_id] = SkewedClock(
                 simulator.clock, skew.offset, skew.drift
@@ -113,10 +118,9 @@ class FaultInjector:
     ) -> FaultVerdict | None:
         now = self.simulator.now
         operation = getattr(message.payload, "operation", "") or ""
-        for rule in self.plan.message_rules:
-            if not rule.applies(
-                now, message.kind, operation,
-                source.node_id, destination.node_id, self.rng,
+        for rule in self._rules_for(operation):
+            if not rule.fires(
+                now, message.kind, source.node_id, destination.node_id, self.rng
             ):
                 continue
             rule.injected += 1
@@ -134,6 +138,21 @@ class FaultInjector:
             if rule.action == REORDER:
                 return FaultVerdict(bypass_fifo=True)
         return None
+
+    def _rules_for(self, operation: str) -> tuple[MessageRule, ...]:
+        """The candidate rules for ``operation``, each matched once."""
+        rules = self.plan.message_rules
+        if len(rules) != self._indexed_rules:
+            self._rules_by_operation.clear()
+            self._indexed_rules = len(rules)
+        candidates = self._rules_by_operation.get(operation)
+        if candidates is None:
+            candidates = tuple(
+                rule for rule in rules
+                if wildcard_match(rule.match.operation, operation)
+            )
+            self._rules_by_operation[operation] = candidates
+        return candidates
 
     def _record(self, rule: MessageRule, message: Message, operation: str) -> None:
         recorder = _telemetry.get_recorder()

@@ -50,13 +50,21 @@ class MessageMatch:
     def matches(
         self, now: float, kind: str, operation: str, source: str, destination: str
     ) -> bool:
+        return wildcard_match(self.operation, operation) and self.admits(
+            now, kind, source, destination
+        )
+
+    def admits(self, now: float, kind: str, source: str, destination: str) -> bool:
+        """:meth:`matches` minus the operation; ``*`` patterns cost nothing."""
         if not (self.after <= now < self.before):
             return False
         return (
-            wildcard_match(self.kind, kind)
-            and wildcard_match(self.operation, operation)
-            and wildcard_match(self.source, source)
-            and wildcard_match(self.destination, destination)
+            (self.kind == "*" or wildcard_match(self.kind, kind))
+            and (self.source == "*" or wildcard_match(self.source, source))
+            and (
+                self.destination == "*"
+                or wildcard_match(self.destination, destination)
+            )
         )
 
 
@@ -99,9 +107,21 @@ class MessageRule:
         destination: str,
         rng: random.Random,
     ) -> bool:
+        return wildcard_match(self.match.operation, operation) and self.fires(
+            now, kind, source, destination, rng
+        )
+
+    def fires(
+        self, now: float, kind: str, source: str, destination: str, rng: random.Random
+    ) -> bool:
+        """:meth:`applies` for a message whose operation already matched.
+
+        Draws from ``rng`` only for a matching, unspent rule with
+        ``probability`` below 1.
+        """
         if self.max_count is not None and self.injected >= self.max_count:
             return False
-        if not self.match.matches(now, kind, operation, source, destination):
+        if not self.match.admits(now, kind, source, destination):
             return False
         return self.probability >= 1.0 or rng.random() < self.probability
 

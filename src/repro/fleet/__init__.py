@@ -11,8 +11,8 @@ simulated nodes by changing representation, not semantics:
 - :mod:`repro.fleet.tree` — the base ↔ registrar ↔ cluster-head ↔ leaf
   aggregation tree: envelopes verified once per registrar, head leases
   renewed in one batch per registrar, leaf leases swept per region;
-- :mod:`repro.fleet.population` — leaves as rows in parallel arrays
-  with interned endpoint ids, plus :class:`FleetBuilder`.
+- :mod:`repro.fleet.population` — leaves as rows in parallel arrays,
+  appended one cluster slice at a time, plus :class:`FleetBuilder`.
 
 Entry point::
 
@@ -29,7 +29,6 @@ from repro.fleet.population import (
     OFFERED,
     REVOKED,
     STATE_NAMES,
-    EndpointInterner,
     Fleet,
     FleetBuilder,
     FleetPolicyAspect,
@@ -48,7 +47,6 @@ from repro.fleet.tree import (
 __all__ = [
     "ClusterHead",
     "ClusterRegistrar",
-    "EndpointInterner",
     "EXPIRED",
     "Fleet",
     "FleetBuilder",

@@ -3,8 +3,9 @@
 At 100k nodes, one Python object per leaf (a Transport, a lease table
 entry, a renewal agent) is two orders of magnitude too heavy.  The fleet
 stores leaves as *rows in parallel arrays* — struct-of-arrays, a byte of
-state and a few doubles per leaf — with endpoint names interned to
-integer ids so identity comparisons and log rows never copy strings.
+state, two ints and two doubles per leaf — appended one cluster head's
+slice at a time.  A leaf is its row index; no per-leaf name or object
+exists.
 
 :class:`FleetBuilder` assembles the full stack:
 
@@ -29,6 +30,7 @@ import json
 import math
 import random
 from array import array
+from itertools import repeat
 from typing import Any
 
 from repro.aop.aspect import Aspect
@@ -56,7 +58,6 @@ from repro.telemetry.health import (
 )
 
 __all__ = [
-    "EndpointInterner",
     "FleetPolicyAspect",
     "FleetPopulation",
     "Fleet",
@@ -75,41 +76,6 @@ IDLE, OFFERED, INSTALLED, REVOKED, EXPIRED = range(5)
 STATE_NAMES = ("idle", "offered", "installed", "revoked", "expired")
 
 
-class EndpointInterner:
-    """Bidirectional string ↔ int endpoint-id table.
-
-    Fleet rows, logs and handoffs carry the integer; the string exists
-    exactly once, created at :meth:`intern` time.  Ids are dense and
-    assigned in intern order, so they double as stable array indices.
-    """
-
-    __slots__ = ("_ids", "_names")
-
-    def __init__(self):
-        self._ids: dict[str, int] = {}
-        self._names: list[str] = []
-
-    def intern(self, name: str) -> int:
-        """The id for ``name``, allocating one on first sight."""
-        found = self._ids.get(name)
-        if found is not None:
-            return found
-        eid = len(self._names)
-        self._ids[name] = eid
-        self._names.append(name)
-        return eid
-
-    def name(self, eid: int) -> str:
-        """The string for an interned id."""
-        return self._names[eid]
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._ids
-
-
 class FleetPopulation:
     """Array-backed leaf state: a byte of lifecycle + doubles of timing.
 
@@ -119,11 +85,9 @@ class FleetPopulation:
     """
 
     __slots__ = (
-        "interner",
         "state",
         "region",
         "head",
-        "endpoint",
         "expires_at",
         "renew_until",
         "installs",
@@ -133,12 +97,10 @@ class FleetPopulation:
         "_state_counts",
     )
 
-    def __init__(self, interner: EndpointInterner | None = None):
-        self.interner = interner or EndpointInterner()
+    def __init__(self):
         self.state = array("b")
         self.region = array("l")
         self.head = array("l")
-        self.endpoint = array("l")
         #: Virtual instant the leaf's current lease lapses (INSTALLED only).
         self.expires_at = array("d")
         #: The leaf keeps renewing until this instant, then churns out.
@@ -150,29 +112,22 @@ class FleetPopulation:
         self.revocations = 0
         self._state_counts = [0, 0, 0, 0, 0]
 
-    def add_leaf(
-        self,
-        name: str,
-        region: int,
-        head: int,
-        renew_until: float = math.inf,
-    ) -> int:
-        """Append one leaf row; returns its index."""
-        self.state.append(IDLE)
-        self.region.append(region)
-        self.head.append(head)
-        self.endpoint.append(self.interner.intern(name))
-        self.expires_at.append(0.0)
-        self.renew_until.append(renew_until)
-        self._state_counts[IDLE] += 1
-        return len(self.state) - 1
+    def add_leaves(self, region: int, head: int, renew_until: array) -> None:
+        """Append one cluster head's slice of IDLE leaves.
+
+        The slice holds ``len(renew_until)`` leaves, with those churn
+        deadlines in order; each column grows by one C-level extend.
+        """
+        count = len(renew_until)
+        self.state.frombytes(bytes(count))  # IDLE == 0
+        self.region.extend(repeat(region, count))
+        self.head.extend(repeat(head, count))
+        self.expires_at.extend(repeat(0.0, count))
+        self.renew_until.extend(renew_until)
+        self._state_counts[IDLE] += count
 
     def __len__(self) -> int:
         return len(self.state)
-
-    def endpoint_of(self, index: int) -> str:
-        """The interned endpoint name of leaf ``index``."""
-        return self.interner.name(self.endpoint[index])
 
     def state_of(self, index: int) -> int:
         return self.state[index]
@@ -659,28 +614,25 @@ class FleetBuilder:
         )
 
         rng = random.Random(f"fleet:{self.seed}")
+        churn, horizon = self.churn, self.churn_horizon
         population = FleetPopulation()
-        for index in range(plan.leaves):
-            head_index = index // plan.leaves_per_cluster
-            renew_until = math.inf
-            if self.churn and rng.random() < self.churn:
-                renew_until = rng.uniform(0.0, self.churn_horizon)
-            population.add_leaf(
-                f"leaf-{index:06d}",
-                plan.region_of_head(head_index),
-                head_index,
-                renew_until=renew_until,
+        heads: list[ClusterHead] = []
+        for index in range(plan.heads):
+            start, stop = plan.leaf_range(index)
+            region = plan.region_of_head(index)
+            # Churn draws stay in leaf-index order: one random() per
+            # leaf, then a uniform() deadline for each churner.
+            renew_until = array("d", repeat(math.inf, stop - start))
+            if churn:
+                for offset in range(stop - start):
+                    if rng.random() < churn:
+                        renew_until[offset] = rng.uniform(0.0, horizon)
+            population.add_leaves(region, index, renew_until)
+            heads.append(
+                ClusterHead(
+                    index, region, index // plan.clusters_per_registrar, start, stop
+                )
             )
-
-        heads = [
-            ClusterHead(
-                index,
-                plan.region_of_head(index),
-                index // plan.clusters_per_registrar,
-                *plan.leaf_range(index),
-            )
-            for index in range(plan.heads)
-        ]
 
         registrars: list[ClusterRegistrar] = []
         fleet = Fleet(

@@ -1,6 +1,7 @@
-"""Array-backed population rows, interning, and tree topology math."""
+"""Array-backed population rows and tree topology math."""
 
 import math
+from array import array
 
 import pytest
 
@@ -11,37 +12,52 @@ from repro.fleet.population import (
     INSTALLED,
     OFFERED,
     REVOKED,
-    EndpointInterner,
     FleetPopulation,
 )
 from repro.fleet.tree import TreePlan
 
 
-class TestEndpointInterner:
-    def test_ids_are_dense_and_stable(self):
-        interner = EndpointInterner()
-        a = interner.intern("leaf-0")
-        b = interner.intern("leaf-1")
-        assert (a, b) == (0, 1)
-        assert interner.intern("leaf-0") == a
-        assert interner.name(b) == "leaf-1"
-        assert len(interner) == 2
-        assert "leaf-0" in interner and "leaf-9" not in interner
+def slice_of(*renew_until):
+    return array("d", renew_until)
+
+
+def population_of(count, renew_until=math.inf):
+    population = FleetPopulation()
+    population.add_leaves(1, 0, array("d", [renew_until] * count))
+    return population
 
 
 class TestFleetPopulation:
     def test_rows_not_objects(self):
         population = FleetPopulation()
-        for i in range(100):
-            population.add_leaf(f"leaf-{i}", region=1 + i % 3, head=i // 10)
+        for head in range(10):
+            population.add_leaves(1 + head % 3, head, array("d", [math.inf] * 10))
         assert len(population) == 100
-        assert population.endpoint_of(42) == "leaf-42"
+        assert population.region[42] == 2 and population.head[42] == 4
         assert population.counts()["idle"] == 100
+        for column in (
+            population.state,
+            population.region,
+            population.head,
+            population.expires_at,
+            population.renew_until,
+        ):
+            assert isinstance(column, array) and len(column) == 100
+
+    def test_slices_append_in_order(self):
+        population = FleetPopulation()
+        population.add_leaves(1, 0, slice_of(math.inf, 2.5))
+        population.add_leaves(2, 1, slice_of())
+        population.add_leaves(2, 2, slice_of(7.0))
+        assert list(population.state) == [IDLE] * 3
+        assert list(population.region) == [1, 1, 2]
+        assert list(population.head) == [0, 0, 2]
+        assert list(population.expires_at) == [0.0] * 3
+        assert list(population.renew_until) == [math.inf, 2.5, 7.0]
+        assert population.counts()["idle"] == 3
 
     def test_lifecycle_range_transitions(self):
-        population = FleetPopulation()
-        for i in range(10):
-            population.add_leaf(f"l{i}", region=1, head=0)
+        population = population_of(10)
         assert population.offer_range(0, 10) == 10
         assert population.counts()["offered"] == 10
         assert population.install_range(0, 10, now=1.0, duration=5.0) == 10
@@ -54,8 +70,7 @@ class TestFleetPopulation:
     def test_sweep_renews_until_churn_deadline_then_expires(self):
         population = FleetPopulation()
         # Leaf 0 renews forever; leaf 1 churns out at t=4.
-        population.add_leaf("keeper", 1, 0, renew_until=math.inf)
-        population.add_leaf("churner", 1, 0, renew_until=4.0)
+        population.add_leaves(1, 0, slice_of(math.inf, 4.0))
         population.offer_range(0, 2)
         population.install_range(0, 2, now=0.0, duration=5.0)
         assert population.sweep_range(0, 2, now=3.0, duration=5.0) == (2, 0)
@@ -72,9 +87,7 @@ class TestFleetPopulation:
         assert population.expiries == 1
 
     def test_revoke_takes_offered_and_installed_only(self):
-        population = FleetPopulation()
-        for i in range(4):
-            population.add_leaf(f"l{i}", 1, 0)
+        population = population_of(4)
         population.offer_range(0, 2)
         population.install_range(0, 2, 0.0, 5.0)
         population.offer_range(2, 3)  # leaf 2 offered, leaf 3 idle
@@ -84,9 +97,7 @@ class TestFleetPopulation:
         assert population.revocations == 3
 
     def test_counts_stay_exact_through_mixed_traffic(self):
-        population = FleetPopulation()
-        for i in range(50):
-            population.add_leaf(f"l{i}", 1, 0, renew_until=0.0)
+        population = population_of(50, renew_until=0.0)
         population.offer_range(0, 50)
         population.install_range(0, 50, 0.0, 2.0)
         population.sweep_range(0, 50, now=5.0, duration=2.0)  # all lapse

@@ -1,17 +1,18 @@
 """O2 — flight-recorder overhead on the interception hot path.
 
-The flight recorder's contract (the PR-1 no-op pattern, extended): the
-hub hangs off a :class:`MetricsRegistry` and only ever sees events that
-already passed through an *installed* registry.  Therefore:
+The flight rings are the registry's only event store: every
+:class:`MetricsRegistry` owns a hub, and the hub only ever sees events
+that passed through an *installed* registry.  Therefore:
 
-- **disabled** (no recorder installed — the default): constructing a
-  hub must change nothing on the hot path; dispatch still pays only the
-  closed-over-cell ``is None`` test.  Gate: ≤2% over the E2-style
-  baseline measured in the same process.
-- **enabled** (registry installed, hub attached): interception itself
-  emits metrics, not lifecycle events, so attaching a hub may add at
-  most the registry's own event-routing slack.  Gate: ≤10% over the
-  same workload on a registry *without* a hub.
+- **disabled** (no recorder installed — the default): building a
+  registry, rings and all, must change nothing on the hot path; dispatch
+  still pays only the closed-over-cell ``is None`` test.  Gate: ≤2% over
+  the E2-style baseline measured in the same process.
+- **enabled** (registry installed): interception itself emits metrics,
+  not lifecycle events, so how much the event store holds must not
+  matter.  Gate: a registry whose rings are full — eviction active on
+  every one of :data:`FULL_NODES` nodes — stays within 10% of a fresh
+  registry on the same workload.
 
 Both gates have no epsilon.  Each runs interleaved pairs of timed
 blocks (alternating which side goes first) and gates the median of the
@@ -27,7 +28,8 @@ import pytest
 
 from conftest import interleaved_pairs
 from repro.aop import Aspect, MethodCut, ProseVM, before
-from repro.telemetry import FlightRecorderHub, MetricsRegistry, runtime
+from repro.telemetry import MetricsRegistry, runtime
+from repro.telemetry.recorder import DEFAULT_CAPACITY
 
 #: Relative budgets, gated on the median per-pair ratio.
 DISABLED_BUDGET = 1.02
@@ -40,6 +42,8 @@ CALLS = 50_000
 #: time, many pairs steady the median.
 PAIRS = 100
 BLOCK_CALLS = 10_000
+#: Nodes whose rings the enabled gate's full registry keeps evicting.
+FULL_NODES = 64
 
 
 class Target:
@@ -80,21 +84,33 @@ def no_leftover_recorder():
     runtime.reset()
 
 
+def _full_registry() -> MetricsRegistry:
+    """A registry whose every ring is full and has evicted."""
+    registry = MetricsRegistry()
+    for node in range(FULL_NODES):
+        for _ in range(DEFAULT_CAPACITY + 1):
+            registry.event("lease.renewed", node=f"n{node}")
+    assert all(
+        registry.flight.recorder(f"n{node}").evicted for node in range(FULL_NODES)
+    )
+    return registry
+
+
 @pytest.mark.benchmark(group="o2-recorder")
 def test_o2_disabled_hub_is_free(benchmark, woven_target):
-    """A constructed-but-unreachable hub must not tax disabled dispatch."""
+    """A built-but-uninstalled registry must not tax disabled dispatch."""
 
-    def with_idle_hub() -> float:
-        # The hub exists and is attached to a registry, but the registry
-        # is not installed — the dispatch closure still takes the no-op
-        # branch.  The hub lives only for this block.
-        registry = MetricsRegistry(flight=FlightRecorderHub())
-        assert registry.flight is not None
+    def with_idle_registry() -> float:
+        # The registry and its hub exist, but the registry is not
+        # installed — the dispatch closure still takes the no-op branch.
+        # They live only for this block.
+        registry = MetricsRegistry()
+        assert registry.flight.nodes() == []
         return _per_call_seconds(woven_target.noop, BLOCK_CALLS)
 
     baseline, with_hub, ratio = interleaved_pairs(
         lambda: _per_call_seconds(woven_target.noop, BLOCK_CALLS),
-        with_idle_hub,
+        with_idle_registry,
         PAIRS,
     )
 
@@ -109,68 +125,63 @@ def test_o2_disabled_hub_is_free(benchmark, woven_target):
 
 
 @pytest.mark.benchmark(group="o2-recorder")
-def test_o2_enabled_hub_within_budget(benchmark, woven_target):
-    """Recording with a hub attached stays within 10% of recording without."""
-    plain_registry = MetricsRegistry()
-    hub_registry = MetricsRegistry(flight=FlightRecorderHub())
+def test_o2_full_rings_within_budget(benchmark, woven_target):
+    """Recording with full, evicting rings stays within 10% of a fresh registry."""
+    fresh_registry = MetricsRegistry()
+    full_registry = _full_registry()
 
     def recording_into(registry: MetricsRegistry) -> float:
         with runtime.recording(registry):
             return _per_call_seconds(woven_target.noop, BLOCK_CALLS)
 
-    without_hub, with_hub, ratio = interleaved_pairs(
-        lambda: recording_into(plain_registry),
-        lambda: recording_into(hub_registry),
+    fresh, full, ratio = interleaved_pairs(
+        lambda: recording_into(fresh_registry),
+        lambda: recording_into(full_registry),
         PAIRS,
     )
-    with runtime.recording(hub_registry):
+    with runtime.recording(full_registry):
         benchmark(woven_target.noop)
-    assert hub_registry.counter_total("prose.interceptions") > 0
+    assert full_registry.counter_total("prose.interceptions") > 0
 
-    benchmark.extra_info["without_hub_per_call_us"] = round(without_hub * 1e6, 4)
-    benchmark.extra_info["with_hub_per_call_us"] = round(with_hub * 1e6, 4)
+    benchmark.extra_info["fresh_per_call_us"] = round(fresh * 1e6, 4)
+    benchmark.extra_info["full_rings_per_call_us"] = round(full * 1e6, 4)
     benchmark.extra_info["enabled_ratio"] = round(ratio, 3)
     assert ratio <= ENABLED_BUDGET, (
-        f"enabled recorder overhead {ratio:.3f}x (median of {PAIRS} pair "
+        f"full-ring recorder overhead {ratio:.3f}x (median of {PAIRS} pair "
         f"ratios) exceeds {ENABLED_BUDGET}x budget"
     )
 
 
 @pytest.mark.benchmark(group="o2-recorder")
 def test_o2_event_routing_cost(benchmark):
-    """The hub's true cost center: one ``registry.event()`` with routing.
+    """The store's true cost center: one ``registry.event()``.
 
-    Reported (not gated): the per-event cost of the ring append on top of
-    the registry's own event bookkeeping."""
-    plain = MetricsRegistry()
-    cost_plain = _best_per_call(lambda: plain.event("lease.renewed", node="n"))
-    hub_registry = MetricsRegistry(flight=FlightRecorderHub())
-    cost_hub = _best_per_call(lambda: hub_registry.event("lease.renewed", node="n"))
-    benchmark.extra_info["event_plain_per_call_us"] = round(cost_plain * 1e6, 4)
-    benchmark.extra_info["event_with_hub_per_call_us"] = round(cost_hub * 1e6, 4)
-    benchmark.extra_info["event_routing_ratio"] = round(cost_hub / cost_plain, 3)
-    benchmark(lambda: hub_registry.event("lease.renewed", node="n"))
+    Reported (not gated): the per-event cost of stamping one
+    :class:`FlightEvent` and appending it to its (full, evicting) ring."""
+    registry = MetricsRegistry()
+    cost = _best_per_call(lambda: registry.event("lease.renewed", node="n"))
+    assert registry.flight.recorder("n").evicted
+    benchmark.extra_info["event_per_call_us"] = round(cost * 1e6, 4)
+    benchmark(lambda: registry.event("lease.renewed", node="n"))
 
 
 def test_o2_disabled_hub_records_nothing(vm):
     """Behavioral half of the gate: with the registry uninstalled, no
-    event reaches the hub — its rings stay empty no matter how much the
+    event reaches its rings — they stay empty no matter how much the
     instrumented application runs."""
     vm.load_class(Target)
     vm.insert(DoNothing())
     target = Target()
-    hub = FlightRecorderHub()
-    MetricsRegistry(flight=hub)  # attached, never installed
+    registry = MetricsRegistry()  # built, never installed
     for _ in range(100):
         target.noop()
-    assert hub.nodes() == []
+    assert registry.flight.nodes() == []
 
     # Installed, the same workload routes weave/lifecycle events only —
     # per-call interception still records nothing on the rings.
-    registry = MetricsRegistry(flight=hub)
     with runtime.recording(registry):
         for _ in range(100):
             target.noop()
         registry.event("lease.granted", table="robot.extensions")
-    assert hub.nodes() == ["robot"]
-    assert hub.recorder("robot").recorded == 1
+    assert registry.flight.nodes() == ["robot"]
+    assert registry.flight.recorder("robot").recorded == 1

@@ -7,7 +7,7 @@ subscriber*, so:
 - **disabled** (no plane attached — the default): every counter
   increment pays exactly one ``self.health is not None`` check.
   Constructing a plane without attaching it must change nothing.
-  Gate: ≤2% over a back-to-back baseline on the same registry.
+  Gate: ≤2% over a baseline on the same registry.
 - **enabled** (plane attached to a real harness): judged end to end —
   a full 100-node storm run with the health plane on stays within 10%
   of the same run with it off, as the median of per-pair ratios over
@@ -16,12 +16,11 @@ subscriber*, so:
   what the gate protects is the workload, where simulation machinery
   dominates and the plane's O(windows) updates amortize out.
 
-The disabled gate compares min-of-trials measurements taken back-to-back
-in one process, plus a small absolute epsilon for timer resolution.  The
-enabled gate has no epsilon: each pair runs both storms back to back
-(alternating which goes first), and the median pair ratio is what is
-gated, so drift on a loaded CI box cancels within a pair and outlier
-pairs do not move the verdict.  Run standalone::
+Neither gate has an epsilon.  Each runs interleaved pairs (count blocks
+for the disabled gate, whole storms for the enabled one), alternating
+which side goes first, and gates the median per-pair ratio, so drift on
+a loaded CI box cancels within a pair and outlier pairs do not move the
+verdict.  Run standalone::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_o3_health_overhead.py
 """
@@ -43,14 +42,16 @@ from repro.telemetry.health import (
     scaled_pairs,
 )
 
-#: Relative budgets, plus an absolute floor that keeps sub-microsecond
-#: comparisons from flapping on timer resolution (disabled gate only).
+#: Relative budgets, gated on the median per-pair ratio.
 DISABLED_BUDGET = 1.02
 ENABLED_BUDGET = 1.10
-EPSILON_SECONDS = 50e-9
 
 TRIALS = 5
 CALLS = 50_000
+#: Interleaved (baseline, idle plane) pairs behind the disabled gate, and
+#: calls per timed block.
+PAIRS = 100
+BLOCK_CALLS = 10_000
 #: Interleaved (without, with) storm pairs behind the enabled gate.
 STORM_PAIRS = 20
 STORM_NODES = 100
@@ -95,28 +96,26 @@ def test_o3_disabled_plane_is_free(benchmark):
     def count() -> None:
         registry.count("midas.renewals", node="n1")
 
-    plane = _matching_plane()  # exists, but registry.health stays None
-    assert registry.health is None
-    # Interleave the trials: a CPU-contended box (CI) drifts between
-    # back-to-back blocks, and 2% of ~2µs is well under that drift.
-    baseline_trials, with_plane_trials = [], []
-    for _ in range(TRIALS):
-        baseline_trials.append(_per_call_seconds(count))
-        with_plane_trials.append(_per_call_seconds(count))
-    baseline = min(baseline_trials)
-    with_plane = min(with_plane_trials)
+    def with_idle_plane() -> float:
+        # The plane exists, but registry.health stays None.  It lives
+        # only for this block.
+        plane = _matching_plane()
+        assert registry.health is None and plane.engine.slos
+        return _per_call_seconds(count, BLOCK_CALLS)
+
+    baseline, with_plane, ratio = interleaved_pairs(
+        lambda: _per_call_seconds(count, BLOCK_CALLS), with_idle_plane, PAIRS
+    )
 
     benchmark.extra_info["baseline_per_call_us"] = round(baseline * 1e6, 4)
     benchmark.extra_info["with_idle_plane_per_call_us"] = round(
         with_plane * 1e6, 4
     )
-    ratio = with_plane / baseline
     benchmark.extra_info["disabled_ratio"] = round(ratio, 3)
-    assert with_plane <= baseline * DISABLED_BUDGET + EPSILON_SECONDS, (
-        f"disabled-path health overhead {ratio:.3f}x exceeds "
-        f"{DISABLED_BUDGET}x budget"
+    assert ratio <= DISABLED_BUDGET, (
+        f"disabled-path health overhead {ratio:.3f}x (median of {PAIRS} "
+        f"pair ratios) exceeds {DISABLED_BUDGET}x budget"
     )
-    assert plane.engine.slos  # keep the plane alive through the measurement
     benchmark(count)
 
 

@@ -17,6 +17,7 @@ Everything runs on one shared :class:`~repro.sim.kernel.Simulator`; call
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from repro.aop.aspect import Aspect
@@ -48,7 +49,6 @@ from repro.supervision import SupervisionPolicy
 from repro.store.service import APPEND, STORE_INTERFACE, StoreService
 from repro.telemetry import MetricsRegistry
 from repro.telemetry import runtime as _telemetry
-from repro.telemetry.recorder import FlightRecorderHub
 
 from typing import TYPE_CHECKING
 
@@ -405,7 +405,6 @@ class ProactivePlatform:
     def enable_telemetry(
         self,
         registry: MetricsRegistry | None = None,
-        flight: bool = True,
         dump_dir: str | None = None,
     ) -> MetricsRegistry:
         """Install a metrics registry on the simulator's clock.
@@ -417,18 +416,15 @@ class ProactivePlatform:
         across platforms).  Call :meth:`disable_telemetry` to restore the
         previous recorder.
 
-        Unless ``flight=False``, a :class:`FlightRecorderHub` is attached
-        (if the registry doesn't already carry one) so lifecycle events
-        also land on per-node flight rings; ``dump_dir`` makes crashes
-        and quarantines auto-dump the affected node's ring there.
+        Lifecycle events land on the registry's per-node flight rings;
+        ``dump_dir`` makes crashes and quarantines auto-dump the affected
+        node's ring there.
         """
         if self.telemetry is not None:
             return self.telemetry
         registry = registry or MetricsRegistry(clock=self.simulator.clock)
-        if flight and registry.flight is None:
-            registry.flight = FlightRecorderHub(
-                clock=self.simulator.clock, dump_dir=dump_dir
-            )
+        if dump_dir is not None:
+            registry.flight.dump_dir = Path(dump_dir)
         self._previous_recorder = _telemetry.install(registry)
         self.telemetry = registry
         return registry

@@ -3,9 +3,10 @@
 At 100k nodes, one Python object per leaf (a Transport, a lease table
 entry, a renewal agent) is two orders of magnitude too heavy.  The fleet
 stores leaves as *rows in parallel arrays* — struct-of-arrays, a byte of
-state, two ints and two doubles per leaf — appended one cluster head's
-slice at a time.  A leaf is its row index; no per-leaf name or object
-exists.
+state and two doubles per leaf — appended one cluster head's slice at a
+time.  A leaf is its row index; no per-leaf name or object exists, and
+its region and head are those of the :class:`ClusterHead` whose
+``[start, stop)`` holds the index.
 
 :class:`FleetBuilder` assembles the full stack:
 
@@ -86,8 +87,6 @@ class FleetPopulation:
 
     __slots__ = (
         "state",
-        "region",
-        "head",
         "expires_at",
         "renew_until",
         "installs",
@@ -99,8 +98,6 @@ class FleetPopulation:
 
     def __init__(self):
         self.state = array("b")
-        self.region = array("l")
-        self.head = array("l")
         #: Virtual instant the leaf's current lease lapses (INSTALLED only).
         self.expires_at = array("d")
         #: The leaf keeps renewing until this instant, then churns out.
@@ -112,7 +109,7 @@ class FleetPopulation:
         self.revocations = 0
         self._state_counts = [0, 0, 0, 0, 0]
 
-    def add_leaves(self, region: int, head: int, renew_until: array) -> None:
+    def add_leaves(self, renew_until: array) -> None:
         """Append one cluster head's slice of IDLE leaves.
 
         The slice holds ``len(renew_until)`` leaves, with those churn
@@ -120,8 +117,6 @@ class FleetPopulation:
         """
         count = len(renew_until)
         self.state.frombytes(bytes(count))  # IDLE == 0
-        self.region.extend(repeat(region, count))
-        self.head.extend(repeat(head, count))
         self.expires_at.extend(repeat(0.0, count))
         self.renew_until.extend(renew_until)
         self._state_counts[IDLE] += count
@@ -627,7 +622,7 @@ class FleetBuilder:
                 for offset in range(stop - start):
                     if rng.random() < churn:
                         renew_until[offset] = rng.uniform(0.0, horizon)
-            population.add_leaves(region, index, renew_until)
+            population.add_leaves(renew_until)
             heads.append(
                 ClusterHead(
                     index, region, index // plan.clusters_per_registrar, start, stop

@@ -233,7 +233,7 @@ def run_scenario(
         lease_duration=scenario.lease_duration,
         pipeline=scenario.pipeline_config(),
     )
-    registry = platform.enable_telemetry(registry, flight=False)
+    registry = platform.enable_telemetry(registry)
     simulator = platform.simulator
     station = platform.create_base_station("base")
     for index in range(scenario.catalog_size):

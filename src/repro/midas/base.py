@@ -742,7 +742,7 @@ class ExtensionBase:
             roamed=node_id,
             error=str(error),
         )
-        logger.warning(
+        logger.debug(
             "%s: could not announce %s's arrival to %s: %s",
             self.node_id,
             node_id,

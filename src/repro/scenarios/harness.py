@@ -149,22 +149,18 @@ def report_from(world: StormWorld) -> StormReport:
         name: int(registry.counter_total(name)) for name in ROAM_COUNTERS
     }
     network = world.network
-    hub = registry.flight
-    roam_events: list[tuple] = []
-    if hub is not None:
-        wanted = set(FINGERPRINT_KINDS)
-        for event in hub.events():
-            if event.kind in wanted:
-                roam_events.append(
-                    (
-                        event.node,
-                        event.kind,
-                        round(event.time, 6),
-                        str(event.get("roamed", "")),
-                        str(event.get("peer", event.get("base", ""))),
-                    )
-                )
-    roam_events.sort()
+    wanted = set(FINGERPRINT_KINDS)
+    roam_events = sorted(
+        (
+            event.node,
+            event.kind,
+            round(event.time, 6),
+            str(event.get("roamed", "")),
+            str(event.get("peer", event.get("base", ""))),
+        )
+        for event in registry.flight.events()
+        if event.kind in wanted
+    )
     nodes = world.storm_nodes
     return StormReport(
         spec=world.spec,

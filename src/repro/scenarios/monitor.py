@@ -313,12 +313,9 @@ class InvariantMonitor:
 
     def _causal_trace(self, subject: str) -> str:
         """The merged timeline, cut down to events naming the subject."""
-        hub = self.registry.flight
-        if hub is None:
-            return ""
         events = [
             event
-            for event in hub.events()
+            for event in self.registry.flight.events()
             if event.node == subject
             or any(value == subject for value in event.fields.values())
         ]

@@ -5,7 +5,7 @@ interception latency, lease behaviour over a lossy radio.  This package
 gives the reproduction a first-class way to observe itself:
 
 - :class:`~repro.telemetry.registry.MetricsRegistry` — counters, gauges,
-  and fixed-bucket histograms, stamped by any
+  fixed-bucket histograms and lifecycle events, stamped by any
   :class:`~repro.util.clock.Clock` (deterministic under simulation);
 - :mod:`~repro.telemetry.spans` — spans with parent/child links whose
   context rides on network messages, so one MIDAS offer→install→renew
@@ -13,8 +13,9 @@ gives the reproduction a first-class way to observe itself:
 - :mod:`~repro.telemetry.export` — JSONL dumps and text/JSON summaries;
 - :mod:`~repro.telemetry.runtime` — the process-global recorder the
   instrumented platform reports to (a no-op unless one is installed);
-- :mod:`~repro.telemetry.recorder` — per-node flight-recorder rings of
-  lifecycle events, auto-dumped on crash/quarantine;
+- :mod:`~repro.telemetry.recorder` — per-node flight-recorder rings, the
+  one store of lifecycle events (``registry.flight``), auto-dumped on
+  crash/quarantine;
 - :mod:`~repro.telemetry.timeline` / :mod:`~repro.telemetry.query` —
   happens-before-merged causal timelines with a composable query API
   (``timeline.events(kind).on(node).before(other)``);
@@ -69,7 +70,7 @@ from repro.telemetry.recorder import (
     FlightRecorder,
     FlightRecorderHub,
 )
-from repro.telemetry.registry import MetricsRegistry, TelemetryEvent
+from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.runtime import NullRecorder, Recorder, recording
 from repro.telemetry.spans import NULL_SPAN, Span, SpanContext
 from repro.telemetry.timeline import Timeline
@@ -97,7 +98,6 @@ __all__ = [
     "SLO",
     "Span",
     "SpanContext",
-    "TelemetryEvent",
     "Timeline",
     "TimelineQuery",
     "json_summary",

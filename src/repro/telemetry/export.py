@@ -1,6 +1,6 @@
-"""Exporters: JSONL dumps and human-readable text summaries.
+"""Exporters: JSONL dumps, summaries and the Prometheus exposition.
 
-Both exporters work on *records* — the plain-dict form produced by
+They all work on *records* — the plain-dict form produced by
 :meth:`MetricsRegistry.to_records` and round-tripped through JSONL — so
 the same summary code renders a live registry and a file loaded back
 from disk identically (that symmetry is what the CLI's
@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Any, Iterable, Union
+from typing import IO, TYPE_CHECKING, Any, Iterable, Union
 
 from repro.telemetry.metrics import bucket_quantile, format_labels
-from repro.telemetry.registry import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.telemetry.registry import MetricsRegistry
 
 Records = list[dict[str, Any]]
-_Source = Union[MetricsRegistry, Iterable[dict[str, Any]]]
+#: A registry (anything with ``to_records()``), or its records.
+_Source = Union["MetricsRegistry", Iterable[dict[str, Any]]]
 
 #: Traces rendered in full by :func:`text_summary` before eliding.
 MAX_TRACES_SHOWN = 5
@@ -42,18 +45,22 @@ def quantile_label(q: float) -> str:
 
 
 def _records_of(source: _Source) -> Records:
-    if isinstance(source, MetricsRegistry):
+    if hasattr(source, "to_records"):
         return source.to_records()
     return list(source)
 
 
 def write_jsonl(source: _Source, destination: Union[str, Path, IO[str]]) -> int:
-    """Write one JSON record per line; returns the record count."""
+    """Write one JSON record per line; returns the record count.
+
+    A path destination has its parent directories created.
+    """
     records = _records_of(source)
     if hasattr(destination, "write"):
         for record in records:
             destination.write(json.dumps(record, sort_keys=True) + "\n")
     else:
+        Path(destination).parent.mkdir(parents=True, exist_ok=True)
         with open(destination, "w", encoding="utf-8") as handle:
             for record in records:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
@@ -91,19 +98,15 @@ def _label_suffix(record: dict[str, Any]) -> str:
     return format_labels(tuple(sorted(record.get("labels", {}).items())))
 
 
-def _histogram_stats(
-    record: dict[str, Any], quantiles: tuple[float, ...] = DEFAULT_QUANTILES
-) -> str:
-    count = record["count"]
+def _histogram_stats(histogram: dict[str, Any], quantiles: tuple[float, ...]) -> str:
+    """One :func:`json_summary` histogram entry as ``n=.. mean=.. p50=.. max=..``."""
+    count = histogram["count"]
     if not count:
         return "n=0"
-    mean = record["sum"] / count
-    values = _quantiles_from_buckets(record, quantiles)
     rendered = " ".join(
-        f"{quantile_label(q)}={_si(value)}" for q, value in zip(quantiles, values)
+        f"{label}={_si(histogram[label])}" for label in map(quantile_label, quantiles)
     )
-    middle = f" {rendered}" if rendered else ""
-    return f"n={count} mean={_si(mean)}{middle} max={_si(record['max'])}"
+    return f"n={count} mean={_si(histogram['mean'])} {rendered} max={_si(histogram['max'])}"
 
 
 def _quantiles_from_buckets(
@@ -159,71 +162,46 @@ def text_summary(
     title: str | None = None,
     quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
 ) -> str:
-    """A human-readable digest of counters, histograms, events and traces.
+    """A human-readable rendering of :func:`json_summary`, plus span trees.
 
     ``quantiles`` picks the histogram quantiles shown (bucket-resolution,
     each in the open interval (0, 1)); the default adds tail visibility
     with p99 alongside the classic p50/p95.
     """
-    quantiles = _check_quantiles(quantiles)
     records = _records_of(source)
-    meta = next((r for r in records if r["type"] == "meta"), None)
-    counters = sorted(
-        (r for r in records if r["type"] == "counter"),
-        key=lambda r: (r["name"], sorted(r.get("labels", {}).items())),
-    )
-    gauges = sorted(
-        (r for r in records if r["type"] == "gauge"),
-        key=lambda r: (r["name"], sorted(r.get("labels", {}).items())),
-    )
-    histograms = sorted(
-        (r for r in records if r["type"] == "histogram"),
-        key=lambda r: (r["name"], sorted(r.get("labels", {}).items())),
-    )
-    events = [r for r in records if r["type"] == "event"]
-    spans = [r for r in records if r["type"] == "span"]
-    flights = [r for r in records if r["type"] == "flight"]
-    malformed = sum(
-        r.get("malformed_lines", 0) for r in records if r["type"] == "read_errors"
-    )
-
+    summary = json_summary(records, quantiles)
+    meta = summary["meta"]
     header = title or (f"telemetry summary — {meta['name']}" if meta else "telemetry summary")
     lines = [header, "=" * len(header)]
 
-    if counters:
-        lines += ["", "counters:"]
-        lines += [
-            f"  {r['name']}{_label_suffix(r)} = {r['value']:g}" for r in counters
-        ]
-    if gauges:
-        lines += ["", "gauges:"]
-        lines += [f"  {r['name']}{_label_suffix(r)} = {r['value']:g}" for r in gauges]
-    if histograms:
+    for section in ("counters", "gauges"):
+        if summary[section]:
+            lines += ["", f"{section}:"]
+            lines += [
+                f"  {m['name']}{_label_suffix(m)} = {m['value']:g}" for m in summary[section]
+            ]
+    if summary["histograms"]:
         lines += ["", "histograms:"]
         lines += [
-            f"  {r['name']}{_label_suffix(r)}  {_histogram_stats(r, quantiles)}"
-            for r in histograms
+            f"  {h['name']}{_label_suffix(h)}  {_histogram_stats(h, quantiles)}"
+            for h in summary["histograms"]
         ]
-    if events:
-        lines += ["", f"events: {len(events)}"]
-        by_name: dict[str, int] = {}
-        for record in events:
-            by_name[record["name"]] = by_name.get(record["name"], 0) + 1
-        lines += [f"  {name} x{count}" for name, count in sorted(by_name.items())]
-
-    if flights:
-        nodes = sorted({r["node"] for r in flights})
+    events = summary["events"]
+    if events["total"]:
+        lines += ["", f"events: {events['total']}"]
+        lines += [f"  {name} x{count}" for name, count in events["by_name"].items()]
+        nodes = summary["flight"]["by_node"]
         lines += [
             "",
-            f"flight recorder: {len(flights)} events on {len(nodes)} node(s) "
-            f"({', '.join(nodes)})",
+            f"flight recorder: {summary['flight']['total']} events on {len(nodes)} "
+            f"node(s) ({', '.join(nodes)})",
         ]
 
-    if spans:
+    if summary["spans"]["total"]:
         traces: dict[str, list[dict[str, Any]]] = {}
-        for span in spans:
+        for span in (r for r in records if r["type"] == "span"):
             traces.setdefault(span["trace_id"], []).append(span)
-        lines += ["", f"traces: {len(traces)} ({len(spans)} spans)"]
+        lines += ["", f"traces: {len(traces)} ({summary['spans']['total']} spans)"]
         for index, (trace_id, trace_spans) in enumerate(sorted(traces.items())):
             if index >= MAX_TRACES_SHOWN:
                 lines.append(f"  ... and {len(traces) - MAX_TRACES_SHOWN} more traces")
@@ -231,15 +209,15 @@ def text_summary(
             lines.append(f"  trace {trace_id}:")
             lines += ["  " + line for line in _span_tree_lines(trace_spans)]
 
-    dropped_events = int(meta.get("dropped_events", 0) or 0) if meta else 0
-    dropped_spans = int(meta.get("dropped_spans", 0) or 0) if meta else 0
-    if dropped_events or dropped_spans:
+    dropped = summary["dropped"]
+    if dropped["events"] or dropped["spans"]:
         lines += [
             "",
-            f"warning: retention cap dropped {dropped_events} event(s) and "
-            f"{dropped_spans} span(s) before this export",
+            f"warning: retention cap dropped {dropped['events']} event(s) and "
+            f"{dropped['spans']} span(s) before this export",
         ]
 
+    malformed = summary["malformed_lines"]
     if malformed:
         lines += ["", f"warning: {malformed} malformed line(s) skipped while reading"]
 
@@ -251,13 +229,15 @@ def text_summary(
 def json_summary(
     source: _Source, quantiles: tuple[float, ...] = DEFAULT_QUANTILES
 ) -> dict[str, Any]:
-    """A machine-readable digest of the same records :func:`text_summary` shows.
+    """A machine-readable digest of the records; :func:`text_summary` renders it.
 
     The shape is stable for scripting (``repro telemetry summary --format
     json``): every value is a plain JSON type, histogram quantiles are
-    bucket-resolution like the text rendering (one ``p<q>`` key per
-    requested quantile, e.g. ``p50``/``p95``/``p99``), and any malformed
-    lines counted by :func:`read_jsonl` appear under ``malformed_lines``.
+    bucket-resolution (one ``p<q>`` key per requested quantile, e.g.
+    ``p50``/``p95``/``p99``), and any malformed lines counted by
+    :func:`read_jsonl` appear under ``malformed_lines``.  ``events`` and
+    ``flight`` count the same flight-ring records, by kind and by node;
+    ``dropped.events`` is what full rings evicted.
     """
     quantiles = _check_quantiles(quantiles)
     records = _records_of(source)
@@ -290,18 +270,15 @@ def json_summary(
         summary["max"] = record["max"]
         return summary
 
-    events = [r for r in records if r["type"] == "event"]
-    events_by_name: dict[str, int] = {}
-    for record in events:
-        events_by_name[record["name"]] = events_by_name.get(record["name"], 0) + 1
-
     spans = [r for r in records if r["type"] == "span"]
     trace_ids = {span["trace_id"] for span in spans}
 
     flights = [r for r in records if r["type"] == "flight"]
-    flights_by_node: dict[str, int] = {}
+    by_kind: dict[str, int] = {}
+    by_node: dict[str, int] = {}
     for record in flights:
-        flights_by_node[record["node"]] = flights_by_node.get(record["node"], 0) + 1
+        by_kind[record["kind"]] = by_kind.get(record["kind"], 0) + 1
+        by_node[record["node"]] = by_node.get(record["node"], 0) + 1
 
     return {
         "meta": dict(meta) if meta else None,
@@ -317,14 +294,11 @@ def json_summary(
             (histogram(r) for r in records if r["type"] == "histogram"),
             key=lambda h: (h["name"], sorted(h["labels"].items())),
         ),
-        "events": {"total": len(events), "by_name": dict(sorted(events_by_name.items()))},
+        "events": {"total": len(flights), "by_name": dict(sorted(by_kind.items()))},
         "spans": {"total": len(spans), "traces": len(trace_ids)},
-        "flight": {
-            "total": len(flights),
-            "by_node": dict(sorted(flights_by_node.items())),
-        },
+        "flight": {"total": len(flights), "by_node": dict(sorted(by_node.items()))},
         "dropped": {
-            "events": int(meta.get("dropped_events", 0) or 0) if meta else 0,
+            "events": int(meta.get("evicted_events", 0) or 0) if meta else 0,
             "spans": int(meta.get("dropped_spans", 0) or 0) if meta else 0,
         },
         "malformed_lines": sum(
@@ -383,8 +357,8 @@ def prom_text(source: _Source) -> str:
     implicit ``+Inf`` bucket), matching what a real scrape endpoint
     would serve.  Label semantics are the registry's: values past a
     cardinality cap arrive already folded into the ``~other`` series,
-    so the exposition stays bounded at fleet scale.  Events, spans and
-    flight records have no Prometheus shape and are skipped.
+    so the exposition stays bounded at fleet scale.  Spans and flight
+    (event) records have no Prometheus shape and are skipped.
     """
     records = _records_of(source)
     lines: list[str] = []

@@ -168,18 +168,6 @@ class HealthPlane:
         key = label_key(labels)
         self.engine.on_gauge(now, name, key, value)
 
-    def ingest_observe(
-        self,
-        now: float,
-        name: str,
-        value: float,
-        bounds: tuple[float, ...],
-        **labels: Any,
-    ) -> None:
-        key = label_key(labels)
-        self.book.on_observe(now, name, key, value, bounds)
-        self.engine.on_observe(now, name, key, value)
-
     # -- probes ------------------------------------------------------------------
 
     def watch_platform(self, platform: Any) -> "HealthPlane":

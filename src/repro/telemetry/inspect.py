@@ -25,6 +25,8 @@ import argparse
 import json
 from typing import Any, Callable
 
+from repro.telemetry.recorder import FlightEvent
+
 #: Flight-recorder events shown by default in a report's tail.
 TAIL_EVENTS = 10
 
@@ -49,7 +51,7 @@ def _breaker_states(*clients: Any) -> list[dict[str, Any]]:
 
 def _recorder_tail(platform: Any, node_id: str, count: int) -> list[dict[str, Any]]:
     registry = platform.telemetry
-    if registry is None or registry.flight is None:
+    if registry is None:
         return []
     return [
         event.to_record() for event in registry.flight.recorder(node_id).tail(count)
@@ -162,21 +164,10 @@ def platform_report(platform: Any, tail: int = TAIL_EVENTS) -> list[dict[str, An
 
 def _render_tail(tail: list[dict[str, Any]], lines: list[str]) -> None:
     if not tail:
-        lines.append("  recorder tail: (no flight recorder attached)")
+        lines.append("  recorder tail: (no events recorded)")
         return
     lines.append(f"  recorder tail (last {len(tail)}):")
-    for record in tail:
-        fields = record.get("fields", {})
-        detail = ", ".join(
-            f"{key}={value}"
-            for key, value in fields.items()
-            if key not in ("trace_id", "span_id", "node")
-        )
-        trace = f"  [{record['trace_id']}]" if record.get("trace_id") else ""
-        lines.append(
-            f"    t={record['time']:8.3f} #{record['seq']:<4} "
-            f"{record['kind']:<26} {detail}{trace}"
-        )
+    lines += ["  " + FlightEvent.from_record(record).line() for record in tail]
 
 
 def render_report(report: dict[str, Any]) -> str:

@@ -5,8 +5,8 @@ question an operator actually asks after an incident: *what sequence of
 events, on which nodes, led here?*  The flight recorder does.  Every
 structured lifecycle event the platform emits — weave/unweave, advice
 dispatch errors, lease grant/renew/expiry, offer/install/rollback,
-injected faults, circuit-breaker transitions, quarantines — is copied
-into a fixed-size ring buffer for the node it happened on, stamped with:
+injected faults, circuit-breaker transitions, quarantines — is stored
+in a fixed-size ring buffer for the node it happened on, stamped with:
 
 - the node id (derived from the event's own fields),
 - a per-node monotonic sequence number (total order within the node),
@@ -19,24 +19,26 @@ Rings can be dumped to JSONL on demand, and dump automatically when a
 *black-box event* (a crash, a quarantine) lands, if a dump directory is
 configured.
 
-Cost model: the hub only ever sees events that already went through an
-installed :class:`~repro.telemetry.registry.MetricsRegistry`.  With no
-recorder installed (the default) nothing reaches it, so the disabled
-cost is exactly PR 1's no-op-recorder cost — one cell read.  Enabled, a
-recorded event is one dataclass + one deque append on top of the
-registry's own work; ``benchmarks/bench_o2_recorder_overhead.py`` gates
-both ends.
+Cost model: the rings are the registry's only event store — each
+:class:`~repro.telemetry.registry.MetricsRegistry` owns one hub, and a
+recorded event is built once, as one :class:`FlightEvent` appended to
+one deque.  The hub only ever sees events that went through an
+*installed* registry: with no recorder installed (the default) nothing
+reaches it, so the disabled cost is the no-op recorder's one cell read.
+``benchmarks/bench_o2_recorder_overhead.py`` gates both ends: an idle
+registry taxes nothing, and full, evicting rings tax nothing on the
+interception path.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping, Union
+from typing import IO, Any, Iterator, Mapping, Union
 
 from repro.telemetry import runtime
+from repro.telemetry.export import write_jsonl
 from repro.util.clock import Clock, SystemClock
 
 #: Events kept per node before the ring starts evicting the oldest.
@@ -101,6 +103,19 @@ class FlightEvent:
             fields=dict(record.get("fields", {})),
         )
 
+    def line(self) -> str:
+        """One human-readable line: time, node, seq, kind, fields, trace."""
+        trace = f"  [{self.trace_id}]" if self.trace_id else ""
+        detail = ", ".join(
+            f"{key}={value}"
+            for key, value in self.fields.items()
+            if key not in ("trace_id", "span_id")
+        )
+        return (
+            f"{self.time:10.3f}  {self.node:<10} #{self.seq:<4} "
+            f"{self.kind:<28} {detail}{trace}"
+        )
+
     def __repr__(self) -> str:
         trace = f" trace={self.trace_id}" if self.trace_id else ""
         return f"<FlightEvent {self.node}#{self.seq} t={self.time:.3f} {self.kind}{trace}>"
@@ -157,10 +172,6 @@ class FlightRecorder:
             return []
         return list(self._ring)[-count:]
 
-    def to_records(self) -> list[dict[str, Any]]:
-        """Exportable form of the whole ring, oldest first."""
-        return [event.to_record() for event in self._ring]
-
     def __len__(self) -> int:
         return len(self._ring)
 
@@ -200,11 +211,10 @@ def _derive_node(fields: Mapping[str, Any]) -> str:
 class FlightRecorderHub:
     """All nodes' flight recorders, fed by the metrics registry.
 
-    Attach a hub to a :class:`~repro.telemetry.registry.MetricsRegistry`
-    (``MetricsRegistry(flight=hub)`` or ``registry.flight = hub``) and
-    every lifecycle event the registry records is also routed to the
-    ring of the node it names.  ``platform.enable_telemetry()`` does the
-    wiring automatically.
+    Every :class:`~repro.telemetry.registry.MetricsRegistry` owns one
+    (``registry.flight``): each lifecycle event the registry records is
+    routed to the ring of the node it names.  ``capacity`` (events per
+    ring) is the only retention setting.
     """
 
     def __init__(
@@ -279,6 +289,10 @@ class FlightRecorderHub:
         """Every retained event across all rings, exportable form."""
         return [event.to_record() for event in self.events()]
 
+    def evicted(self) -> int:
+        """Events pushed out of full rings, summed over every node."""
+        return sum(recorder.evicted for recorder in self._recorders.values())
+
     # -- dumps -------------------------------------------------------------------
 
     def dump(
@@ -287,19 +301,11 @@ class FlightRecorderHub:
         """Write retained events (one node's, or everyone's) as JSONL.
 
         Returns the number of records written.  Accepts a path or an
-        open text handle, like :func:`~repro.telemetry.export.write_jsonl`.
+        open text handle; :meth:`Timeline.from_dumps
+        <repro.telemetry.timeline.Timeline.from_dumps>` loads dumps back.
         """
-        records = self.to_records() if node is None else self.recorder(node).to_records()
-        if hasattr(destination, "write"):
-            for record in records:
-                destination.write(json.dumps(record, sort_keys=True) + "\n")
-        else:
-            path = Path(destination)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as handle:
-                for record in records:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
-        return len(records)
+        events = self.events(node)
+        return write_jsonl([event.to_record() for event in events], destination)
 
     def dump_all(self, directory: Union[str, Path]) -> list[Path]:
         """Dump each node's ring to ``<directory>/flight-<node>.jsonl``."""
@@ -322,31 +328,3 @@ class FlightRecorderHub:
         total = sum(len(r) for r in self._recorders.values())
         return f"<FlightRecorderHub nodes={len(self._recorders)} retained={total}>"
 
-
-def read_flight_jsonl(source: Union[str, Path, IO[str]]) -> list[FlightEvent]:
-    """Load one node's flight dump back into events (malformed lines skipped)."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    events: list[FlightEvent] = []
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if record.get("type") == "flight":
-            events.append(FlightEvent.from_record(record))
-    return events
-
-
-def merge_records(sources: Iterable[Iterable[Mapping[str, Any]]]) -> list[FlightEvent]:
-    """Rebuild events from several record iterables (one per dump file)."""
-    out: list[FlightEvent] = []
-    for records in sources:
-        for record in records:
-            if record.get("type") == "flight":
-                out.append(FlightEvent.from_record(record))
-    return out

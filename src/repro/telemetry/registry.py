@@ -2,7 +2,9 @@
 
 One :class:`MetricsRegistry` aggregates everything the instrumented
 platform emits: counters, gauges, histograms, lifecycle events, and
-finished spans.  It is clock-agnostic: give it a
+finished spans.  Lifecycle events have one store: the per-node rings of
+the registry's own :class:`~repro.telemetry.recorder.FlightRecorderHub`
+(``registry.flight``).  It is clock-agnostic: give it a
 :class:`~repro.util.clock.Clock` (e.g. a simulator's ``SimClock``) and
 every timestamp is deterministic virtual time; leave the default
 :class:`~repro.util.clock.SystemClock` for wall-clock runs.
@@ -14,7 +16,6 @@ the platform's instrumentation on.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from repro.telemetry import runtime
@@ -34,30 +35,12 @@ from repro.util.clock import Clock, SystemClock
 #: Sentinel: "no parent given — use the ambient context".
 _AMBIENT = object()
 
-#: Default bound on retained spans/events: enough for any scenario in the
+#: Default bound on retained spans: enough for any scenario in the
 #: repo while keeping week-long simulations from growing without limit.
 DEFAULT_RETENTION = 8192
 
 #: Label value that absorbs everything past a label's cardinality cap.
 OVERFLOW_LABEL = "~other"
-
-
-@dataclass(frozen=True)
-class TelemetryEvent:
-    """One timestamped lifecycle event (install, expiry, timeout, ...)."""
-
-    time: float
-    name: str
-    fields: Mapping[str, Any] = field(default_factory=dict)
-
-    def to_record(self) -> dict[str, Any]:
-        """The exportable (JSONL) form of this event."""
-        return {
-            "type": "event",
-            "time": self.time,
-            "name": self.name,
-            "fields": dict(self.fields),
-        }
 
 
 class MetricsRegistry(Recorder):
@@ -70,9 +53,7 @@ class MetricsRegistry(Recorder):
         name: str = "telemetry",
         clock: Clock | None = None,
         max_spans: int = DEFAULT_RETENTION,
-        max_events: int = DEFAULT_RETENTION,
         default_buckets: Iterable[float] = DEFAULT_BUCKETS,
-        flight: FlightRecorderHub | None = None,
         label_limits: Mapping[str, int] | None = None,
     ):
         self.name = name
@@ -91,10 +72,9 @@ class MetricsRegistry(Recorder):
         #: however many metric names use it — each (name, labels) pair
         #: otherwise re-allocates the sorted tuple per instrument.
         self._interned_keys: dict[LabelKey, LabelKey] = {}
-        #: Optional flight-recorder hub: every lifecycle event this
-        #: registry records is also routed to the per-node ring of the
-        #: node it names.  ``platform.enable_telemetry()`` attaches one.
-        self.flight = flight
+        #: The event store: every lifecycle event this registry records
+        #: lands on the ring of the node it names, and nowhere else.
+        self.flight = FlightRecorderHub(clock=self.clock)
         #: Optional health plane (:mod:`repro.telemetry.health`): when
         #: attached, every count/observe/gauge is forwarded — after
         #: label capping/interning — so rollups and SLOs see the capped
@@ -105,12 +85,11 @@ class MetricsRegistry(Recorder):
         self._histograms: dict[tuple[str, LabelKey], Histogram] = {}
         self._buckets_for: dict[str, tuple[float, ...]] = {}
         self._default_buckets = tuple(default_buckets)
-        self.events: deque[TelemetryEvent] = deque(maxlen=max_events)
         self.spans: deque[Span] = deque(maxlen=max_spans)
-        #: Events/spans silently evicted past the retention cap — surfaced
-        #: by ``telemetry summary`` so "the export looks fine" can't hide
-        #: a truncated record of a long run.
-        self.dropped_events = 0
+        #: Spans silently evicted past the retention cap (events evicted
+        #: from the rings are counted per ring) — surfaced by ``telemetry
+        #: summary`` so "the export looks fine" can't hide a truncated
+        #: record of a long run.
         self.dropped_spans = 0
         #: Spans started but not yet ended (kept so exports can show them).
         self._open_spans: dict[str, Span] = {}
@@ -190,7 +169,8 @@ class MetricsRegistry(Recorder):
             )
 
     def event(self, name: str, **fields: Any) -> None:
-        """Record a lifecycle event stamped with the registry clock.
+        """Record a lifecycle event, stamped with the registry clock, on
+        the flight ring of the node it names.
 
         When a trace context is ambient (an active span, or a message's
         wire context activated around its delivery), the event carries
@@ -201,12 +181,7 @@ class MetricsRegistry(Recorder):
         if context is not None:
             fields.setdefault("trace_id", context.trace_id)
             fields.setdefault("span_id", context.span_id)
-        now = self.clock.now()
-        if len(self.events) == self.events.maxlen:
-            self.dropped_events += 1
-        self.events.append(TelemetryEvent(now, name, fields))
-        if self.flight is not None:
-            self.flight.record(name, fields, time=now)
+        self.flight.record(name, fields, time=self.clock.now())
 
     def start_span(
         self,
@@ -319,18 +294,16 @@ class MetricsRegistry(Recorder):
                 "type": "meta",
                 "name": self.name,
                 "exported_at": self.clock.now(),
-                "dropped_events": self.dropped_events,
+                "evicted_events": self.flight.evicted(),
                 "dropped_spans": self.dropped_spans,
             }
         ]
         records.extend(c.to_record() for c in self._counters.values())
         records.extend(g.to_record() for g in self._gauges.values())
         records.extend(h.to_record() for h in self._histograms.values())
-        records.extend(e.to_record() for e in self.events)
         records.extend(s.to_record() for s in self.spans)
         records.extend(s.to_record() for s in self._open_spans.values())
-        if self.flight is not None:
-            records.extend(self.flight.to_records())
+        records.extend(self.flight.to_records())
         return records
 
     # -- plumbing ----------------------------------------------------------------

@@ -26,8 +26,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, Union
 
+from repro.telemetry.export import read_jsonl
 from repro.telemetry.query import TimelineQuery
-from repro.telemetry.recorder import FlightEvent, FlightRecorderHub, read_flight_jsonl
+from repro.telemetry.recorder import FlightEvent, FlightRecorderHub
 
 
 def _order_key(event: FlightEvent) -> tuple[float, str, int]:
@@ -67,11 +68,13 @@ class Timeline:
 
     @classmethod
     def from_dumps(cls, sources: Iterable[Union[str, Path, IO[str]]]) -> "Timeline":
-        """Merge several per-node JSONL dump files into one timeline."""
-        events: list[FlightEvent] = []
-        for source in sources:
-            events.extend(read_flight_jsonl(source))
-        return cls(events)
+        """Merge several per-node JSONL dump files into one timeline.
+
+        Malformed lines and non-flight records are skipped.
+        """
+        return cls.from_records(
+            record for source in sources for record in read_jsonl(source)
+        )
 
     # -- queries -----------------------------------------------------------------
 
@@ -108,19 +111,7 @@ class Timeline:
     def render(self, limit: int | None = None) -> str:
         """A human-readable dump of the merged order (for debugging)."""
         events = self._events if limit is None else self._events[-limit:]
-        lines = []
-        for event in events:
-            trace = f"  [{event.trace_id}]" if event.trace_id else ""
-            detail = ", ".join(
-                f"{key}={value}"
-                for key, value in event.fields.items()
-                if key not in ("trace_id", "span_id")
-            )
-            lines.append(
-                f"{event.time:10.3f}  {event.node:<10} #{event.seq:<4} "
-                f"{event.kind:<28} {detail}{trace}"
-            )
-        return "\n".join(lines)
+        return "\n".join(event.line() for event in events)
 
     def __len__(self) -> int:
         return len(self._events)

@@ -9,7 +9,7 @@ from repro.net.network import Network
 from repro.net.node import NetworkNode
 from repro.net.transport import Transport
 from repro.sim.kernel import Simulator
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, Timeline
 from repro.telemetry import runtime as _telemetry
 
 
@@ -114,8 +114,8 @@ class TestMessageRules:
         client.request("b", "ping", timeout=1.0)
         sim.run()
         assert registry.counter_total("faults.injected") == 1
-        events = [e for e in registry.events if e.name == "fault.injected"]
-        assert events and events[0].fields["action"] == "drop"
+        events = Timeline.from_hub(registry.flight).events("fault.injected")
+        assert events and events.first().fields["action"] == "drop"
 
     def test_uninstall_restores_clean_path(self, sim, network, world):
         client, server = world
@@ -165,7 +165,7 @@ class TestCrashRestart:
             network, sim, FaultPlan().crash("b", at=1.0, down_for=1.0)
         ).install()
         sim.run_for(5.0)
-        names = [e.name for e in registry.events]
+        names = Timeline.from_hub(registry.flight).kinds()
         assert "fault.crash" in names and "fault.restart" in names
 
     def test_manual_crash_and_restart(self, sim, network, world):
@@ -201,8 +201,9 @@ class TestLinkFlaps:
         plan = FaultPlan().flap_link("a", "b", period=2.0, down_for=0.5, between=(0, 5))
         FaultInjector(network, sim, plan).install()
         sim.run_for(20.0)
-        downs = [e for e in registry.events if e.name == "fault.link_down"]
-        ups = [e for e in registry.events if e.name == "fault.link_up"]
+        timeline = Timeline.from_hub(registry.flight)
+        downs = timeline.events("fault.link_down").all()
+        ups = timeline.events("fault.link_up").all()
         assert len(downs) == 3  # t = 0, 2, 4
         assert len(ups) == len(downs)
         assert network.reachable(network.node("a"), network.node("b"))

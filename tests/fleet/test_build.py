@@ -21,14 +21,19 @@ FINGERPRINT_10K_SEED_7 = (
 )
 
 #: Build memory bound: tracemalloc peak bytes per leaf at 100k leaves.
-#: The five columns take 33 B a leaf; measured ~39 B a leaf with array
-#: over-allocation and the fixed platform/tree cost.  The 6 B margin is
-#: below one pointer a leaf, so even a shared-element 100k list fails.
-BUILD_BYTES_PER_LEAF = 45.0
+#: The three columns take 17 B a leaf; measured ~23 B a leaf (CPython
+#: 3.11) with array over-allocation and the fixed platform/tree cost.
+#: The 6 B margin is below one pointer a leaf, so even a shared-element
+#: 100k list fails.
+BUILD_BYTES_PER_LEAF = 29.0
 
 
 def reference_columns(builder):
-    """The population columns, built the slow way: one leaf at a time."""
+    """Each leaf's columns, built the slow way: one leaf at a time.
+
+    ``region`` and ``head`` are not population columns: they are read
+    off the built cluster heads (see :func:`head_placement`).
+    """
     plan = builder.plan
     rng = random.Random(f"fleet:{builder.seed}")
     region, head, renew_until = [], [], []
@@ -49,6 +54,18 @@ def reference_columns(builder):
     }
 
 
+def head_placement(fleet):
+    """Each leaf's region and head, from the ``[start, stop)`` of its head."""
+    region = [None] * len(fleet.population)
+    head = [None] * len(fleet.population)
+    for cluster in fleet.heads:
+        for leaf in range(cluster.start, cluster.stop):
+            assert head[leaf] is None, f"leaf {leaf} in two heads"
+            region[leaf] = cluster.region
+            head[leaf] = cluster.index
+    return {"region": region, "head": head}
+
+
 @pytest.mark.parametrize("leaves_per_cluster", [512, 7])
 @pytest.mark.parametrize("leaves", [1, 511, 512, 1025, 3000])
 @pytest.mark.parametrize("churn", [0.0, 0.15, 1.0])
@@ -63,10 +80,15 @@ def test_bulk_build_matches_per_leaf_reference(
         churn=churn,
         health=False,
     )
-    population = builder.build().population
-    expected = reference_columns(builder)
-    for column, values in expected.items():
-        assert list(getattr(population, column)) == values, column
+    fleet = builder.build()
+    population = fleet.population
+    built = {
+        column: list(getattr(population, column))
+        for column in ("state", "expires_at", "renew_until")
+    }
+    built.update(head_placement(fleet))
+    for column, values in reference_columns(builder).items():
+        assert built[column] == values, column
     assert len(population) == leaves
     assert population.counts()["idle"] == leaves
     assert sum(population.counts().values()) == leaves

@@ -23,22 +23,19 @@ def slice_of(*renew_until):
 
 def population_of(count, renew_until=math.inf):
     population = FleetPopulation()
-    population.add_leaves(1, 0, array("d", [renew_until] * count))
+    population.add_leaves(array("d", [renew_until] * count))
     return population
 
 
 class TestFleetPopulation:
     def test_rows_not_objects(self):
         population = FleetPopulation()
-        for head in range(10):
-            population.add_leaves(1 + head % 3, head, array("d", [math.inf] * 10))
+        for _ in range(10):
+            population.add_leaves(array("d", [math.inf] * 10))
         assert len(population) == 100
-        assert population.region[42] == 2 and population.head[42] == 4
         assert population.counts()["idle"] == 100
         for column in (
             population.state,
-            population.region,
-            population.head,
             population.expires_at,
             population.renew_until,
         ):
@@ -46,12 +43,10 @@ class TestFleetPopulation:
 
     def test_slices_append_in_order(self):
         population = FleetPopulation()
-        population.add_leaves(1, 0, slice_of(math.inf, 2.5))
-        population.add_leaves(2, 1, slice_of())
-        population.add_leaves(2, 2, slice_of(7.0))
+        population.add_leaves(slice_of(math.inf, 2.5))
+        population.add_leaves(slice_of())
+        population.add_leaves(slice_of(7.0))
         assert list(population.state) == [IDLE] * 3
-        assert list(population.region) == [1, 1, 2]
-        assert list(population.head) == [0, 0, 2]
         assert list(population.expires_at) == [0.0] * 3
         assert list(population.renew_until) == [math.inf, 2.5, 7.0]
         assert population.counts()["idle"] == 3
@@ -70,7 +65,7 @@ class TestFleetPopulation:
     def test_sweep_renews_until_churn_deadline_then_expires(self):
         population = FleetPopulation()
         # Leaf 0 renews forever; leaf 1 churns out at t=4.
-        population.add_leaves(1, 0, slice_of(math.inf, 4.0))
+        population.add_leaves(slice_of(math.inf, 4.0))
         population.offer_range(0, 2)
         population.install_range(0, 2, now=0.0, duration=5.0)
         assert population.sweep_range(0, 2, now=3.0, duration=5.0) == (2, 0)

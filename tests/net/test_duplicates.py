@@ -13,7 +13,7 @@ from repro.net.geometry import Position
 from repro.net.network import FaultVerdict
 from repro.net.node import NetworkNode
 from repro.net.transport import DEDUP_WINDOW, Transport
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, Timeline
 from repro.telemetry import runtime as _telemetry
 
 
@@ -72,9 +72,9 @@ class TestStrayReplies:
         finally:
             _telemetry.install(previous)
         assert registry.counter_total("net.transport.stray_replies") == 1
-        events = [e for e in registry.events if e.name == "transport.stray_reply"]
+        events = Timeline.from_hub(registry.flight).events("transport.stray_reply")
         assert len(events) == 1
-        assert events[0].fields["operation"] == "ping"
+        assert events.first().fields["operation"] == "ping"
 
     def test_triple_duplication_drops_each_extra_once(self, sim, network, pair):
         client, server = pair

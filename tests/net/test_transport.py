@@ -201,7 +201,7 @@ class TestTimeoutSemantics:
         assert client.timeouts == 1
 
     def test_timeout_emits_metric_and_event(self, sim, network, pair):
-        from repro.telemetry import MetricsRegistry, runtime
+        from repro.telemetry import MetricsRegistry, Timeline, runtime
 
         client, _ = pair
         network.partition("a", "b")
@@ -212,7 +212,8 @@ class TestTimeoutSemantics:
         assert registry.counter_value(
             "net.transport.timeouts", node="a", operation="slow.op"
         ) == 1
-        timeout_events = [e for e in registry.events if e.name == "transport.timeout"]
+        timeline = Timeline.from_hub(registry.flight)
+        timeout_events = timeline.events("transport.timeout").all()
         assert len(timeout_events) == 1
         assert timeout_events[0].fields["operation"] == "slow.op"
         assert timeout_events[0].fields["waited"] == pytest.approx(1.0)

@@ -61,15 +61,12 @@ class TestFaultedStormBurns:
         )
 
     def test_burn_alert_dumped_a_flight_ring(self, faulted_report):
-        from repro.telemetry.recorder import read_flight_jsonl
+        from repro.telemetry import Timeline
 
         _, dump_dir = faulted_report
         dumps = sorted(dump_dir.glob("flight-*.jsonl"))
         assert dumps, "slo.burn must auto-dump the blamed node's ring"
-        kinds = {
-            event.kind for path in dumps for event in read_flight_jsonl(path)
-        }
-        assert "slo.burn" in kinds
+        assert "slo.burn" in Timeline.from_dumps(dumps).kinds()
 
     def test_faulted_run_is_deterministic(self, faulted_report):
         report, _ = faulted_report

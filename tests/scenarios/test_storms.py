@@ -166,3 +166,15 @@ def test_fire_and_forget_baseline_is_actually_broken():
     report = run_storm(spec)
     assert not report.clean
     assert {v.invariant for v in report.violations} == {"single-home"}
+
+
+def test_failed_announcements_are_counted_not_warned(caplog):
+    """A dropped ROAMED announcement is routine under chaos: it lands on
+    the counter and the flight ring, and logs at DEBUG, never WARNING."""
+    logging.disable(logging.NOTSET)  # undo the module's quiet fixture
+    with caplog.at_level(logging.DEBUG, logger="repro.midas.base"):
+        report = run_storm(CHAOS.with_overrides(seed=7))
+    assert report.counters["midas.roam.announce_failed"] > 0
+    from_base = [r for r in caplog.records if r.name == "repro.midas.base"]
+    assert any("could not announce" in r.getMessage() for r in from_base)
+    assert [r for r in from_base if r.levelno >= logging.WARNING] == []

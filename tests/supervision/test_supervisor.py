@@ -293,8 +293,8 @@ class TestTelemetryAndPolicy:
         assert registry.counter_total("supervision.quarantined") == 1
         kinds = {
             event.fields["kind"]
-            for event in registry.events
-            if event.name == "supervision.contained"
+            for event in registry.flight.events()
+            if event.kind == "supervision.contained"
         }
         assert kinds == {STRIKE_ERROR}
 

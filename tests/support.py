@@ -38,8 +38,7 @@ def export_artifacts(name: str, registry: Any) -> Path | None:
     directory = Path(root) / name
     directory.mkdir(parents=True, exist_ok=True)
     write_jsonl(registry, directory / "telemetry.jsonl")
-    if getattr(registry, "flight", None) is not None:
-        registry.flight.dump_all(directory)
+    registry.flight.dump_all(directory)
     return directory
 
 

@@ -178,7 +178,7 @@ class TestJsonSummary:
         }
         assert summary["events"] == {"total": 1, "by_name": {"thing.happened": 1}}
         assert summary["spans"] == {"total": 2, "traces": 1}
-        assert summary["flight"] == {"total": 0, "by_node": {}}
+        assert summary["flight"] == {"total": 1, "by_node": {"a": 1}}
         assert summary["malformed_lines"] == 0
 
 

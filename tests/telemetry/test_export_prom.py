@@ -66,10 +66,11 @@ class TestPromText:
 
 class TestDroppedCountsSurface:
     def _capped_registry(self) -> MetricsRegistry:
-        registry = MetricsRegistry(max_events=2)
-        for i in range(5):
-            registry.event("midas.renewed", node=f"n{i}")
-        assert registry.dropped_events == 3
+        registry = MetricsRegistry()
+        registry.flight.capacity = 2
+        for _ in range(5):
+            registry.event("midas.renewed", node="n")
+        assert registry.flight.evicted() == 3
         return registry
 
     def test_text_summary_warns(self):

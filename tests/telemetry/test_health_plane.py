@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.telemetry import MetricsRegistry, runtime
+from repro.telemetry import MetricsRegistry, Timeline, runtime
 from repro.telemetry.health import (
     BurnPair,
     Cause,
@@ -17,7 +17,7 @@ from repro.telemetry.health import (
     SLO,
 )
 from repro.telemetry.health.model import HealthModel, worst_status
-from repro.telemetry.recorder import DUMP_KINDS, FlightRecorderHub, read_flight_jsonl
+from repro.telemetry.recorder import DUMP_KINDS
 
 ONE_PAIR = (BurnPair("only", long_window=10.0, short_window=10.0, threshold=2.0),)
 
@@ -106,8 +106,8 @@ class TestBurnEvents:
         assert "slo.burn" in DUMP_KINDS
 
     def test_fire_emits_event_and_dumps_blamed_ring(self, sim, tmp_path):
-        hub = FlightRecorderHub(clock=sim.clock, dump_dir=tmp_path)
-        registry = MetricsRegistry(clock=sim.clock, flight=hub)
+        registry = MetricsRegistry(clock=sim.clock)
+        registry.flight.dump_dir = tmp_path
         runtime.install(registry)
         plane = _plane().attach(registry)
         registry.event("midas.installed", node="pda-1")  # ring context
@@ -115,11 +115,11 @@ class TestBurnEvents:
             registry.count("midas.failures", node="pda-1")
         fired = plane.tick()
         assert [alert.slo for alert in fired] == ["renewals"]
-        burn_events = [e for e in registry.events if e.name == "slo.burn"]
+        burn_events = Timeline.from_hub(registry.flight).events("slo.burn").all()
         assert len(burn_events) == 1
         assert burn_events[0].fields["node"] == "pda-1"
         # The blamed node's ring hit disk the moment the alert fired.
-        dumped = read_flight_jsonl(tmp_path / "flight-pda-1.jsonl")
+        dumped = Timeline.from_dumps([tmp_path / "flight-pda-1.jsonl"])
         assert [event.kind for event in dumped] == ["midas.installed", "slo.burn"]
 
     def test_emitting_guard_keeps_own_counters_out(self, registry):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.aop import Aspect, FieldWriteCut, MethodCut, ProseVM, before
 from repro.leasing.table import LeaseTable
+from repro.telemetry import Timeline
 from repro.tuplespace.space import Tuple, TupleSpace, TupleTemplate
 
 
@@ -89,7 +90,7 @@ class TestLeaseInstrumentation:
         assert registry.counter_value("lease.renewed", table="t") == 1
         assert registry.counter_value("lease.cancelled", table="t") == 1
         assert registry.counter_value("lease.expired", table="t") == 1
-        (event,) = [e for e in registry.events if e.name == "lease.expired"]
+        (event,) = Timeline.from_hub(registry.flight).events("lease.expired")
         assert event.fields["resource"] == "res2"
         assert event.time == pytest.approx(other.expires_at)
 
@@ -164,8 +165,9 @@ class TestMidasLifecycleTrace:
         assert registry.counter_total("midas.offers") >= 1
         assert registry.counter_total("midas.installs") == 1
         assert registry.counter_total("midas.withdrawals") == 1
-        installed = [e for e in registry.events if e.name == "midas.installed"]
-        withdrawn = [e for e in registry.events if e.name == "midas.withdrawn"]
+        timeline = Timeline.from_hub(registry.flight)
+        installed = timeline.events("midas.installed").all()
+        withdrawn = timeline.events("midas.withdrawn").all()
         assert len(installed) == 1 and len(withdrawn) == 1
         assert withdrawn[0].fields["reason"] == "revoked"
 

@@ -138,11 +138,21 @@ class TestRegistry:
         registry = MetricsRegistry(clock=sim.clock)
         sim.schedule(5.0, lambda: registry.event("tick"))
         sim.run()
-        assert registry.events[0].time == 5.0
+        assert registry.flight.events()[0].time == 5.0
+
+    def test_event_is_stored_once(self):
+        registry = MetricsRegistry()
+        registry.event("lease.granted", node="n")
+        records = registry.to_records()
+        assert [record["type"] for record in records] == ["meta", "flight"]
+        assert records[1]["kind"] == "lease.granted"
+        assert len(registry.flight.events()) == 1
+        assert registry.flight.recorder("n").recorded == 1
 
     def test_event_retention_bounded(self):
-        registry = MetricsRegistry(max_events=3)
+        registry = MetricsRegistry()
+        registry.flight.capacity = 3
         for index in range(5):
             registry.event("e", n=index)
-        assert len(registry.events) == 3
-        assert registry.events[0].fields["n"] == 2
+        assert len(registry.flight.events()) == 3
+        assert registry.flight.events()[0].fields["n"] == 2

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.telemetry import MetricsRegistry, runtime
+from repro.telemetry import MetricsRegistry, Timeline, runtime
 from repro.telemetry.recorder import (
     DEFAULT_CAPACITY,
     WORLD,
@@ -13,8 +13,6 @@ from repro.telemetry.recorder import (
     FlightRecorder,
     FlightRecorderHub,
     _derive_node,
-    merge_records,
-    read_flight_jsonl,
 )
 from repro.util.clock import Clock
 
@@ -127,14 +125,14 @@ class TestDumps:
         path = tmp_path / "all.jsonl"
         count = hub.dump(path)
         assert count == 2
-        assert read_flight_jsonl(path) == hub.events()
+        assert list(Timeline.from_dumps([path])) == list(Timeline.from_hub(hub))
 
     def test_dump_one_node_to_handle(self):
         hub = self.make_hub()
         buffer = io.StringIO()
         hub.dump(buffer, node="robot")
         buffer.seek(0)
-        events = read_flight_jsonl(buffer)
+        events = Timeline.from_dumps([buffer])
         assert [event.node for event in events] == ["robot"]
 
     def test_dump_all_writes_one_file_per_node(self, tmp_path):
@@ -149,7 +147,7 @@ class TestDumps:
         hub.record("midas.installed", {"node": "robot"}, time=1.0)
         hub.record("supervision.quarantined", {"node": "robot"}, time=2.0)
         assert hub.auto_dumps == 1
-        events = read_flight_jsonl(tmp_path / "flight-robot.jsonl")
+        events = Timeline.from_dumps([tmp_path / "flight-robot.jsonl"])
         assert [event.kind for event in events] == [
             "midas.installed",
             "supervision.quarantined",
@@ -167,10 +165,10 @@ class TestDumps:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("{truncated\n")
             handle.write(json.dumps({"type": "counter", "name": "x"}) + "\n")
-        events = read_flight_jsonl(path)
+        events = Timeline.from_dumps([path])
         assert [event.node for event in events] == ["robot"]
 
-    def test_merge_records_keeps_only_flight_records(self):
+    def test_timeline_from_records_keeps_only_flight_records(self):
         hub = self.make_hub()
         records = hub.to_records() + [{"type": "meta", "name": "x"}]
-        assert merge_records([records]) == hub.events()
+        assert list(Timeline.from_records(records)) == list(Timeline.from_hub(hub))

@@ -8,13 +8,14 @@ import pytest
 
 from repro.errors import DependencyError, VerificationError, VettingError
 from repro.midas.envelope import ExtensionEnvelope
+from repro.telemetry import Timeline
 from repro.vetting import report as R
 from repro.vetting import requires_cycle
 from tests.vetting import fixtures as fx
 
 
 def _events(registry, name):
-    return [event for event in registry.events if event.name == name]
+    return Timeline.from_hub(registry.flight).events(name).all()
 
 
 class TestPublishGate:
